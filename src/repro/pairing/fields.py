@@ -115,9 +115,7 @@ class FieldSpec:
     ``backend`` selects the base-field arithmetic strategy (a
     :class:`FieldBackend` instance or a registered name); omitted, it
     resolves through :func:`repro.pairing.backends.resolve_backend`, which
-    honours the ``REPRO_FIELD_BACKEND`` environment default.  The legacy
-    positional form ``FieldSpec(p, xi_a)`` bypasses backend selection and
-    is deprecated (it warns once and resolves the default backend).
+    honours the ``REPRO_FIELD_BACKEND`` environment default.
     """
 
     __slots__ = ("p", "xi_a", "fp12_mod_c0", "fp12_mod_c6", "backend")
@@ -125,25 +123,10 @@ class FieldSpec:
     def __init__(
         self,
         p: int,
-        *legacy_args: int,
+        *,
         xi_a: Optional[int] = None,
         backend=None,
     ):
-        if legacy_args:
-            if xi_a is not None or len(legacy_args) != 1:
-                raise TypeError(
-                    "FieldSpec takes (p, *, xi_a=..., backend=...); the"
-                    " positional form accepts exactly FieldSpec(p, xi_a)"
-                )
-            from repro import compat as _compat
-
-            _compat.warn_deprecated(
-                "positional FieldSpec(p, xi_a) bypasses field-backend"
-                " selection and is deprecated; construct with"
-                " FieldSpec(p, xi_a=..., backend=...) (or use"
-                " repro.compat.FieldSpec during migration)"
-            )
-            xi_a = legacy_args[0]
         if xi_a is None:
             raise TypeError("FieldSpec requires xi_a (keyword) to be given")
         if p % 4 != 3:

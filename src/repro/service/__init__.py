@@ -9,8 +9,9 @@ identity on the wire.
 * :mod:`repro.service.protocol` - framing and request/reply codec
   (opcode-byte flags carry per-request trace ids and deadline budgets).
 * :mod:`repro.service.server`   - the gateway: bounded request queue with
-  explicit BUSY load-shed, a micro-batcher that folds same-signer verify
-  bursts into one batch pairing, deadline enforcement and graceful drain.
+  explicit BUSY load-shed, a micro-batcher that folds each drained verify
+  window through the cross-signer batch verifier, the session-table fast
+  path, deadline enforcement and graceful drain.
 * :mod:`repro.service.pool`     - supervised crypto worker-process pool
   (identity-affinity routing, crash/hang containment).
 * :mod:`repro.service.supervisor` - heartbeat / job-deadline / jittered

@@ -3,7 +3,7 @@
 :class:`ServiceClient` speaks the frame protocol over one TCP connection.
 Replies arrive strictly in request order, so :meth:`verify_many`
 pipelines a whole burst (write all frames, then read all replies) - the
-path the server's same-signer micro-batcher is built for.
+path the server's micro-batcher is built for.
 
 Signing stays **client-side**: after :meth:`params` the client holds a
 *verifier view* of the scheme - the public parameters grafted onto a

@@ -95,8 +95,8 @@ class LoadgenConfig:
     #: Zipf exponent for identity skew (None -> uniform round-robin).
     #: With ``--zipf s`` each burst's signer is drawn with probability
     #: proportional to 1/rank**s, the traffic shape of a real fleet where
-    #: a few chatty gateways dominate - mixed windows then exercise the
-    #: cross-signer fold instead of the same-signer fast path.
+    #: a few chatty gateways dominate - the signer-anchor reuse that
+    #: round-robin understates.
     zipf: Optional[float] = None
     invalid_every: int = 53  # every k-th request carries a tampered message
     window: int = 64  # per-connection pipelining depth

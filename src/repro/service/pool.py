@@ -6,12 +6,12 @@ pool of **worker processes**, each holding a verifier view of the scheme
 (public params only - the KGC master secret never crosses the process
 boundary) plus its own bounded pairing caches:
 
-* **Identity-affinity routing.**  A same-signer group is routed by
-  ``crc32(identity) % size``, so one worker's Miller/GT/comb caches stay
-  hot for its identity partition instead of every worker thrashing over
-  the whole key population.  When the affine worker is dead or
-  restarting, the group falls over to another live worker (correctness
-  never depends on affinity).
+* **Identity-affinity routing.**  A verify window is routed by its
+  (dominant) signer's ``crc32(identity) % size``, so one worker's
+  Miller/GT/comb and anchor caches stay hot for its identity partition
+  instead of every worker thrashing over the whole key population.  When
+  the affine worker is dead or restarting, the window falls over to
+  another live worker (correctness never depends on affinity).
 
 * **Crash/hang containment.**  Each worker is watched by the
   :class:`~repro.service.supervisor.WorkerSupervisor`: process exits and
@@ -28,21 +28,20 @@ boundary) plus its own bounded pairing caches:
   across param generations, so invalidation probes (miss-once-then-hit)
   keep working through the pool.
 
+Every job is one VERIFY window, and the worker answers it with
+:func:`verify_window` - the function the gateway runs inline when it
+has no pool - so both serving modes share one verify pipeline.
+VERIFY_FAST never reaches a worker: the gateway answers it from its own
+session table, the single authority over session TTL and eviction.
+
 Wire format parent -> worker (pickled tuples over a duplex pipe):
-``("job", id, [payload, ...])`` (same-signer group),
-``("job", id, [payload, ...], "cross")`` (a mixed-signer window folded
-by :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`) or
-``("job", id, [payload, ...], "fast")`` (MAC-authenticated fast-path
-requests validated against the worker's session shard),
-``("session", session_id, key, identity)`` (install one established
-fast-path session; the gateway sends it to the identity's shard owner),
-``("params", doc)`` (which also clears the worker's session shard - a
-rekey kills every session key), ``("ping", seq)``, ``("sleep",
-seconds)`` (a chaos/test hook simulating a hard hang) and ``("stop",)``.
-Worker -> parent: ``("ready", pid)``, ``("pong", seq)``,
-``("done", id, results, pairing_s, fallback, cache_stats, fold_stats)``
-(``fold_stats`` is ``None`` for same-signer and fast jobs) and
-``("failed", id, detail)``.
+``("job", id, [payload, ...])`` (one verify window, from one signer or
+several), ``("params", doc)`` (rekey: rebuild the verifier view),
+``("ping", seq)``, ``("sleep", seconds)`` (a chaos/test hook simulating
+a hard hang) and ``("stop",)``.  Worker -> parent: ``("ready", pid)``,
+``("pong", seq)``, ``("done", id, results, crypto_s, fallback,
+cache_stats, fold_stats)`` (the last element is the fold's accounting,
+``{}`` when nothing folded) and ``("failed", id, detail)``.
 """
 
 from __future__ import annotations
@@ -55,13 +54,18 @@ import zlib
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.batch import McCLSBatchVerifier
-from repro.core.session import EstablishedSession
 from repro.errors import ReproError, ServiceError, WorkerLostError
 from repro.service import protocol
 from repro.service.supervisor import RestartBackoff, WorkerSupervisor
 
 #: one item's verdict from a worker: ("ok", bool) or ("err", detail)
 ItemResult = Tuple[str, object]
+
+#: (results, crypto seconds, fallback flag, fold stats) for one window
+WindowResult = Tuple[List[ItemResult], float, bool, Dict[str, object]]
+
+#: what hostile-but-decodable content can raise out of the verify math
+_ARITHMETIC = (ReproError, ValueError, ZeroDivisionError, ArithmeticError)
 
 
 def merge_cache_stats(*stats: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, int]]:
@@ -92,167 +96,76 @@ def merge_cache_stats(*stats: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# Worker process
+# Verify windows and the worker process
 # ---------------------------------------------------------------------------
 
 
-def _verify_items(curve, view, batcher, payloads: List[bytes]):
-    """Verdicts for one same-signer group of raw verify payloads.
+def _verify_item(
+    batcher: McCLSBatchVerifier, request: protocol.VerifyRequest
+) -> ItemResult:
+    try:
+        return (
+            "ok",
+            bool(
+                batcher.verify(
+                    request.message,
+                    request.signature,
+                    request.identity,
+                    request.public_key,
+                )
+            ),
+        )
+    except _ARITHMETIC as exc:
+        return ("err", f"verification failed: {exc}")
 
-    Returns (results, pairing_s, fallback): per-item ``("ok", bool)`` /
-    ``("err", detail)`` results in order, the crypto seconds the group
-    cost, and whether the aggregate check fell back to per-item work.
+
+def verify_window(
+    batcher: McCLSBatchVerifier, payloads: List[bytes]
+) -> WindowResult:
+    """Verdicts for one window of raw VERIFY payloads, from any signers.
+
+    A payload that does not decode becomes an ``("err", detail)`` item.
+    When more than one item is live the window folds through
+    :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`:
+    once a signer's anchor W = x*P is admitted, its items settle with
+    zero pairings, and a tampered item bisects down in pure G1 to an
+    exact verdict.  A lone item, or a window the fold cannot even weigh,
+    settles item by item through the scheme's own ``verify``.
+
+    Returns (results, crypto_s, fallback, fold_stats): per-item results
+    in payload order, the crypto seconds, whether the fold was abandoned
+    for per-item work, and the fold's accounting document
+    (``folds``/``bisections``/..., ``{}`` when nothing folded).
     """
-    requests: List = []
+    curve = batcher.ctx.curve
     results: List[Optional[ItemResult]] = []
-    for payload in payloads:
+    live: List[Tuple[int, protocol.VerifyRequest]] = []
+    for index, payload in enumerate(payloads):
         try:
-            request = protocol.decode_verify_payload(curve, payload)
+            live.append((index, protocol.decode_verify_payload(curve, payload)))
+            results.append(None)  # settled below
         except ReproError as exc:
             results.append(("err", str(exc)))
-            requests.append(None)
-            continue
-        results.append(None)
-        requests.append(request)
-    live = [r for r in requests if r is not None]
-    started = time.perf_counter()
-    fallback = False
-
-    def verify_one(request) -> ItemResult:
-        try:
-            return (
-                "ok",
-                bool(
-                    view.verify(
-                        request.message,
-                        request.signature,
-                        request.identity,
-                        request.public_key,
-                    )
-                ),
-            )
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError) as exc:
-            return ("err", f"verification failed: {exc}")
-
-    verdicts: Dict[int, ItemResult] = {}
-    if len(live) > 1:
-        # The anchored cross-signer fold subsumes the same-signer batch:
-        # once this signer's anchor W = x*P is admitted, a warm group
-        # settles with zero pairings (one fixed-base mult plus one MSM),
-        # and a tampered item bisects down in pure G1 instead of forcing
-        # a per-item pairing re-verification of the whole group.
-        items = [
-            (r.message, r.signature, r.identity, r.public_key)
-            for r in live
-        ]
-        try:
-            flags, _fold_stats = batcher.verify_cross_signer(items)
-            for request, ok in zip(live, flags):
-                verdicts[id(request)] = ("ok", bool(ok))
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
-            fallback = True
-    if not verdicts:
-        for request in live:
-            verdicts[id(request)] = verify_one(request)
-    for index, request in enumerate(requests):
-        if request is not None:
-            results[index] = verdicts[id(request)]
-    return results, time.perf_counter() - started, fallback
-
-
-def _verify_items_cross(curve, view, batcher, payloads: List[bytes]):
-    """Verdicts for one mixed-signer window of raw verify payloads.
-
-    Returns (results, pairing_s, fallback, fold_stats): per-item results
-    in payload order, the crypto seconds, whether the randomized fold had
-    to be abandoned for exact per-item work, and the
-    :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`
-    accounting document (``folds``/``bisections``/...).
-    """
-    requests: List = []
-    results: List[Optional[ItemResult]] = []
-    for payload in payloads:
-        try:
-            request = protocol.decode_verify_payload(curve, payload)
-        except ReproError as exc:
-            results.append(("err", str(exc)))
-            requests.append(None)
-            continue
-        results.append(None)
-        requests.append(request)
-    live = [r for r in requests if r is not None]
     started = time.perf_counter()
     fallback = False
     fold_stats: Dict[str, object] = {}
-    verdicts: List[bool] = []
-    if live:
-        items = [
-            (r.message, r.signature, r.identity, r.public_key) for r in live
-        ]
+    verdicts: Optional[List[ItemResult]] = None
+    if len(live) > 1:
         try:
-            verdicts, fold_stats = batcher.verify_cross_signer(items)
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
+            flags, fold_stats = batcher.verify_cross_signer(
+                [
+                    (r.message, r.signature, r.identity, r.public_key)
+                    for _index, r in live
+                ]
+            )
+            verdicts = [("ok", bool(ok)) for ok in flags]
+        except _ARITHMETIC:
             fallback = True
-            verdicts = []
-            for request in live:
-                try:
-                    verdicts.append(
-                        bool(
-                            view.verify(
-                                request.message,
-                                request.signature,
-                                request.identity,
-                                request.public_key,
-                            )
-                        )
-                    )
-                except (
-                    ReproError, ValueError, ZeroDivisionError, ArithmeticError
-                ):
-                    verdicts.append(False)
-    by_id = {id(r): ("ok", bool(v)) for r, v in zip(live, verdicts)}
-    for index, request in enumerate(requests):
-        if request is not None:
-            results[index] = by_id[id(request)]
+    if verdicts is None:
+        verdicts = [_verify_item(batcher, request) for _index, request in live]
+    for (index, _request), verdict in zip(live, verdicts):
+        results[index] = verdict
     return results, time.perf_counter() - started, fallback, fold_stats
-
-
-def _verify_items_fast(sessions: Dict[bytes, List], payloads: List[bytes]):
-    """Verdicts for one window of MAC-authenticated fast-path payloads.
-
-    ``sessions`` maps session id -> ``[EstablishedSession, last_seq]``
-    for the worker's identity shard.  No curve arithmetic runs here -
-    session lookup, replay check, HMAC - so a warm fast path performs
-    zero pairings anywhere in the deployment.
-    """
-    results: List[ItemResult] = []
-    started = time.perf_counter()
-    for payload in payloads:
-        try:
-            request = protocol.decode_verify_fast_payload(payload)
-        except ReproError as exc:
-            results.append(("err", str(exc)))
-            continue
-        entry = sessions.get(request.session_id)
-        if entry is None or entry[0].client_identity != request.identity:
-            results.append(("err", protocol.UNKNOWN_SESSION))
-            continue
-        session, last_seq = entry
-        if request.seq <= last_seq:
-            results.append(("ok", False))  # replayed sequence number
-            continue
-        if session.mac_ok(
-            request.mac,
-            *protocol.fast_verify_mac_bytes(
-                request.session_id, request.seq, request.identity,
-                request.message,
-            ),
-        ):
-            entry[1] = request.seq
-            results.append(("ok", True))
-        else:
-            results.append(("ok", False))
-    return results, time.perf_counter() - started
 
 
 def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
@@ -268,10 +181,8 @@ def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
     from repro.service.client import build_verifier_view
 
     try:
-        curve, view = build_verifier_view(params_doc, cache_size=cache_size)
+        _curve, view = build_verifier_view(params_doc, cache_size=cache_size)
         batcher = McCLSBatchVerifier(view)
-        # this worker's session shard: session id -> [session, last_seq]
-        sessions: Dict[bytes, List] = {}
         # cache accounting accumulated across params generations, so a
         # rekey (which rebuilds the context) does not reset the totals
         # the gateway's STATS report
@@ -288,52 +199,26 @@ def _worker_main(conn, params_doc: dict, cache_size: Optional[int]) -> None:
                 stats_base = merge_cache_stats(
                     stats_base, view.ctx.cache_stats()
                 )
-                curve, view = build_verifier_view(
+                _curve, view = build_verifier_view(
                     message[1], cache_size=cache_size
                 )
                 batcher = McCLSBatchVerifier(view)
-                # a rekey invalidated every issued partial key, so every
-                # session key derived from one dies with it
-                sessions.clear()
                 conn.send(("ready", multiprocessing.current_process().pid))
-            elif kind == "session":
-                _, session_id, key, identity = message
-                sessions[session_id] = [
-                    EstablishedSession(
-                        session_id=session_id,
-                        key=key,
-                        client_identity=identity,
-                        gateway_identity="",
-                    ),
-                    0,
-                ]
             elif kind == "sleep":
                 # chaos/test hook: a hard synchronous hang
                 time.sleep(message[1])
             elif kind == "job":
                 job_id, payloads = message[1], message[2]
-                mode = message[3] if len(message) > 3 else "same"
                 try:
-                    fold_stats = None
-                    if mode == "fast":
-                        results, pairing_s = _verify_items_fast(
-                            sessions, payloads
-                        )
-                        fallback = False
-                    elif mode == "cross":
-                        results, pairing_s, fallback, fold_stats = (
-                            _verify_items_cross(curve, view, batcher, payloads)
-                        )
-                    else:
-                        results, pairing_s, fallback = _verify_items(
-                            curve, view, batcher, payloads
-                        )
+                    results, crypto_s, fallback, fold_stats = verify_window(
+                        batcher, payloads
+                    )
                     conn.send(
                         (
                             "done",
                             job_id,
                             results,
-                            pairing_s,
+                            crypto_s,
                             fallback,
                             merge_cache_stats(
                                 stats_base, view.ctx.cache_stats()
@@ -483,74 +368,15 @@ class VerifyWorkerPool:
     # -- submission ---------------------------------------------------------
     async def submit(
         self, affinity_key: str, payloads: List[bytes]
-    ) -> Tuple[List[ItemResult], float, bool]:
-        """Verify one same-signer group on a worker.
+    ) -> WindowResult:
+        """Verify one window on the worker owning ``affinity_key``.
 
-        Returns (per-item results, pairing seconds, fallback flag);
-        raises :class:`~repro.errors.WorkerLostError` when the owning
-        worker dies or overruns its job deadline with this group in
-        flight, and when no worker is live within ``submit_wait_s``.
+        Returns :func:`verify_window`'s (per-item results, crypto
+        seconds, fallback flag, fold stats); raises
+        :class:`~repro.errors.WorkerLostError` when the owning worker
+        dies or overruns its job deadline with this window in flight,
+        and when no worker is live within ``submit_wait_s``.
         """
-        results, pairing_s, fallback, _stats = await self._submit(
-            affinity_key, payloads, "same"
-        )
-        return results, pairing_s, fallback
-
-    async def submit_cross(
-        self, affinity_key: str, payloads: List[bytes]
-    ) -> Tuple[List[ItemResult], float, bool, Optional[dict]]:
-        """Verify one mixed-signer window on a worker via the randomized
-        cross-signer fold.
-
-        ``affinity_key`` should be the dominant signer's identity so the
-        worker holding that signer's hot caches does the fold.  Returns
-        (per-item results, pairing seconds, fallback flag, fold stats);
-        failure modes match :meth:`submit`.
-        """
-        return await self._submit(affinity_key, payloads, "cross")
-
-    async def submit_fast(
-        self, affinity_key: str, payloads: List[bytes]
-    ) -> Tuple[List[ItemResult], float, bool]:
-        """Validate one window of MAC-authenticated fast-path requests on
-        the worker owning ``affinity_key``'s session shard.
-
-        Returns (per-item results, crypto seconds, fallback flag); an
-        item whose session the worker does not hold (restart, eviction,
-        rekey) comes back as ``("err", UNKNOWN_SESSION)`` so the gateway
-        tells that client to re-handshake.
-        """
-        results, crypto_s, fallback, _stats = await self._submit(
-            affinity_key, payloads, "fast"
-        )
-        return results, crypto_s, fallback
-
-    def install_session(self, session: EstablishedSession) -> None:
-        """Hand one established session to its identity shard's worker.
-
-        Best-effort: if the shard owner is dead the session is simply not
-        installed anywhere, and the client's first fast request earns an
-        ``unknown session`` error that drives a re-handshake (by which
-        time a worker is back, or the same miss repeats harmlessly).
-        """
-        handle = self._route(session.client_identity)
-        if handle is None or handle.conn is None:
-            return
-        try:
-            handle.conn.send(
-                (
-                    "session",
-                    session.session_id,
-                    session.key,
-                    session.client_identity,
-                )
-            )
-        except (OSError, ValueError) as exc:
-            self.declare_lost(handle, f"session send failed: {exc}")
-
-    async def _submit(
-        self, affinity_key: str, payloads: List[bytes], mode: str
-    ) -> Tuple[List[ItemResult], float, bool, Optional[dict]]:
         if self._closed:
             raise WorkerLostError("worker pool is stopped")
         handle = await self._acquire(affinity_key)
@@ -559,10 +385,26 @@ class VerifyWorkerPool:
         future = self._loop.create_future()
         handle.pending[job_id] = (future, time.monotonic())
         try:
-            handle.conn.send(("job", job_id, payloads, mode))
+            handle.conn.send(("job", job_id, payloads))
         except (OSError, ValueError) as exc:
             self.declare_lost(handle, f"pipe send failed: {exc}")
         return await future
+
+    #: a window spanning several signers, submitted affine to its
+    #: dominant signer; the job is the same, the name lets a tracer
+    #: wrapping the pool tell mixed windows apart
+    submit_cross = submit
+
+    async def submit_fast(
+        self, affinity_key: str, payloads: List[bytes]
+    ) -> WindowResult:
+        """Retired: VERIFY_FAST is answered from the gateway's session
+        table and never reaches a worker.
+
+        The name stays only because perfbench's traced run looks it up
+        to wrap it (perfbench/spans.py:221).
+        """
+        raise ServiceError("VERIFY_FAST is answered by the gateway")
 
     async def _acquire(self, affinity_key: str) -> _WorkerHandle:
         """The affine worker if it is ready, else any ready worker; waits
@@ -679,7 +521,7 @@ class VerifyWorkerPool:
         elif kind == "pong":
             handle.last_pong = now
         elif kind == "done":
-            _, job_id, results, pairing_s, fallback, cache_stats, fold_stats = (
+            _, job_id, results, crypto_s, fallback, cache_stats, fold_stats = (
                 message
             )
             handle.last_pong = now
@@ -690,7 +532,7 @@ class VerifyWorkerPool:
                 if not future.done():
                     handle.jobs_done += 1
                     self.counters["jobs_done"] += 1
-                    future.set_result((results, pairing_s, fallback, fold_stats))
+                    future.set_result((results, crypto_s, fallback, fold_stats))
         elif kind == "failed":
             _, job_id, detail = message
             handle.last_pong = now

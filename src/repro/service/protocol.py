@@ -271,11 +271,12 @@ def decode_verify_payload(curve: BNCurve, payload: bytes) -> VerifyRequest:
 def split_verify_payload(curve: BNCurve, payload: bytes) -> Tuple[str, bytes]:
     """Cheap structural split of a verify payload: (identity, P_ID blob).
 
-    Used by the worker pool to pick a routing key (identity affinity keeps
-    each worker's pairing caches hot) without paying the full decode - no
-    curve membership checks run here; workers re-decode with validation
-    before any arithmetic touches the bytes.  Truncation is still a
-    decode error so hostile frames cannot reach the pool.
+    Used by the gateway to group and route a verify window (identity
+    affinity keeps each worker's pairing caches hot) without paying the
+    full decode - no curve membership checks run here; the window
+    function re-decodes with validation before any arithmetic touches the
+    bytes.  Truncation is still a decode error so hostile frames never
+    join a window.
     """
     identity, rest = decode_identity(payload)
     pk_size = 1 + 2 * ((curve.p.bit_length() + 7) // 8)  # tag + x + y
@@ -495,14 +496,6 @@ def decode_verify_fast_payload(payload: bytes) -> FastVerifyRequest:
         message=message,
         mac=mac,
     )
-
-
-def split_verify_fast_payload(payload: bytes) -> str:
-    """Cheap routing split: the identity prefix of a fast-verify payload."""
-    identity, rest = decode_identity(payload)
-    if len(rest) < SESSION_ID_BYTES + _SEQ.size + _MSGLEN.size + MAC_BYTES:
-        raise SerializationError("truncated fast-verify payload")
-    return identity
 
 
 #: the ERR diagnostic a gateway sends when a fast-path session is not in

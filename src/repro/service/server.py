@@ -14,22 +14,23 @@ of constrained clients:
   the gateway answers ``BUSY`` immediately instead of buffering without
   limit - the client owns the retry policy, the server owns its memory.
 
-* **Same-signer micro-batching.**  The consumer drains whatever is queued
-  (up to ``max_batch``), groups the VERIFY requests by (identity, public
-  key) and folds each group into
-  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_same_signer` - a
-  warm same-signer burst of k signatures costs **one** pairing instead of
-  k.  A drained window that spans *several* signers folds once through
-  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`
-  instead of once per signer: every item gets an independent random
-  weight, anchored signers settle pairing-free in G1, and a failed fold
-  bisects down to exact per-item verdicts.  Either way a failed batch
-  falls back to per-item verification so every request still gets an
-  exact verdict.
+* **One verify pipeline.**  The consumer drains whatever is queued (up
+  to ``max_batch``) and answers the VERIFY requests in it as one window
+  through :func:`~repro.service.pool.verify_window`, whatever the
+  serving mode: a window with more than one live item folds once through
+  :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer` -
+  every item gets an independent random weight, anchored signers settle
+  pairing-free in G1, and a failed fold bisects down to exact per-item
+  verdicts - while a lone item pays one ``McCLS.verify``.  VERIFY_FAST
+  is answered on the event loop from the gateway's own
+  :class:`SessionTable` (session lookup, replay check, one HMAC), so the
+  table's TTL and LRU bound decide which sessions live in every mode.
 
-* **Supervised worker pool** (``workers > 0``).  The pairing CPU moves
-  into :class:`~repro.service.pool.VerifyWorkerPool` worker processes;
-  the event loop only frames, routes (by identity affinity) and replies.
+* **Supervised worker pool** (``workers > 0``).  The window function
+  runs in :class:`~repro.service.pool.VerifyWorkerPool` worker processes
+  instead of inline: a drained window is split along the pool's identity
+  shards and each sub-window ships to its owner, so the event loop only
+  frames, routes (by identity affinity) and replies.
   A worker crash or hang mid-batch becomes a clean ``ERR worker-lost``
   reply for the jobs it owed - **never a hung future** - while the
   supervisor restarts the worker under jittered backoff.  REKEY
@@ -77,9 +78,13 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.batch import McCLSBatchVerifier
 from repro.core.mccls import McCLS
 from repro.core.params import KeyGenerationCenter
-from repro.core.serialization import encode_g1
 from repro.core.session import EstablishedSession, SessionAuthority
-from repro.errors import ReproError, SerializationError, WorkerLostError
+from repro.errors import (
+    ReproError,
+    SerializationError,
+    ServiceError,
+    WorkerLostError,
+)
 from repro.obs.events import EventSink, NULL_EVENT_SINK
 from repro.obs.exposition import PrometheusRenderer
 from repro.obs.registry import Registry, get_registry
@@ -87,7 +92,12 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.pairing.bn import BNCurve, toy_curve
 from repro.schemes.base import normalize_identity
 from repro.service import protocol
-from repro.service.pool import VerifyWorkerPool, merge_cache_stats
+from repro.service.pool import (
+    VerifyWorkerPool,
+    WindowResult,
+    merge_cache_stats,
+    verify_window,
+)
 from repro.service.protocol import Opcode, Status
 from repro.service.supervisor import RestartBackoff
 
@@ -101,20 +111,18 @@ _Work = Tuple[bytes, "asyncio.Future[bytes]", float]
 
 @dataclass
 class _PendingVerify:
-    """One VERIFY awaiting its (possibly batched) verdict.
-
-    ``request`` is populated on the in-process path (full decode),
-    ``payload`` on the worker-pool path (the parent only splits the
-    routing prefix; workers do the expensive curve-membership checks).
-    """
+    """One VERIFY or VERIFY_FAST awaiting its verdict."""
 
     future: "asyncio.Future[bytes]"
     trace_id: Optional[int]
     enqueued: float
     #: absolute perf_counter second the client's budget runs out, or None
     deadline: Optional[float]
-    request: Optional[protocol.VerifyRequest] = None
+    #: VERIFY only: the raw payload (the window function does the
+    #: expensive curve-membership decode) and its (identity, encoded
+    #: public key) routing prefix
     payload: Optional[bytes] = None
+    signer: Optional[Tuple[str, bytes]] = None
 
 
 @dataclass
@@ -259,9 +267,8 @@ class VerificationGateway:
             "fast_verify_replays": 0,
             "fast_verify_unknown_session": 0,
         }
-        #: established fast-path sessions (the authoritative table; with
-        #: a worker pool each session is additionally installed in its
-        #: identity shard's worker, which does the MAC checking there)
+        #: established fast-path sessions; VERIFY_FAST is answered from
+        #: this table alone, in both serving modes
         self.sessions = SessionTable(
             capacity=session_capacity, ttl_s=session_ttl_s
         )
@@ -499,16 +506,15 @@ class VerificationGateway:
     def _process(self, batch: List[_Work]) -> None:
         """Decode and answer one drained batch.
 
-        In-process mode this does the CPU work synchronously; with a
-        worker pool it only splits routing prefixes and spawns dispatch
-        tasks, so the loop returns to framing immediately.
+        Non-verify opcodes and VERIFY_FAST are answered here; VERIFY
+        requests only have their routing prefix split and are handed to
+        dispatch tasks as verify windows.
         """
         drained = time.perf_counter()
         registry = self.registry
         registry.histogram("service.batch_size").observe(len(batch))
         tracer = self.tracer
         verifies: List[_PendingVerify] = []
-        fasts: List[Tuple[str, _PendingVerify]] = []
         for body, future, enqueued in batch:
             if future.done():  # connection already answered (cannot happen
                 continue  # for queued work today, but stay defensive)
@@ -547,29 +553,20 @@ class VerificationGateway:
                         )
                         continue
                 if opcode == Opcode.VERIFY:
+                    # Routing needs only the (identity, pk) prefix; the
+                    # window function does the curve-membership decode.
+                    signer = protocol.split_verify_payload(
+                        self.kgc.ctx.curve, payload
+                    )
                     verifies.append(
-                        self._admit_verify(
-                            future, payload, trace_id, enqueued, deadline
+                        _PendingVerify(
+                            future, trace_id, enqueued, deadline,
+                            payload=payload, signer=signer,
                         )
                     )
                     continue
                 if opcode == Opcode.VERIFY_FAST:
                     self.counters["fast_verify_requests"] += 1
-                    if self._pool is not None:
-                        identity = protocol.split_verify_fast_payload(payload)
-                        fasts.append(
-                            (
-                                identity,
-                                _PendingVerify(
-                                    future,
-                                    trace_id,
-                                    enqueued,
-                                    deadline,
-                                    payload=payload,
-                                ),
-                            )
-                        )
-                        continue
                     request = protocol.decode_verify_fast_payload(payload)
                     reply = self._answer_fast(request)
                     self._resolve_verify(
@@ -600,42 +597,7 @@ class VerificationGateway:
                     protocol.error_reply(f"internal error: {exc}")
                 )
         if verifies:
-            if self._pool is not None:
-                self._dispatch_grouped(verifies)
-            else:
-                self._verify_grouped(verifies)
-        if fasts:
-            # Group by shard so each worker only validates sessions for
-            # its own identity partition (the session was installed there
-            # at handshake time).
-            shards: Dict[int, List[Tuple[str, _PendingVerify]]] = {}
-            for identity, pending in fasts:
-                shards.setdefault(self._pool.shard_of(identity), []).append(
-                    (identity, pending)
-                )
-            for members in shards.values():
-                self._spawn_group_task(self._dispatch_fast(members))
-
-    def _admit_verify(
-        self,
-        future: "asyncio.Future[bytes]",
-        payload: bytes,
-        trace_id: Optional[int],
-        enqueued: float,
-        deadline: Optional[float],
-    ) -> _PendingVerify:
-        """Parse a VERIFY payload just far enough for this serving mode."""
-        if self._pool is not None:
-            # Routing needs only the (identity, pk) prefix; the worker
-            # does the expensive curve-membership decode.
-            protocol.split_verify_payload(self.kgc.ctx.curve, payload)
-            return _PendingVerify(
-                future, trace_id, enqueued, deadline, payload=payload
-            )
-        request = protocol.decode_verify_payload(self.kgc.ctx.curve, payload)
-        return _PendingVerify(
-            future, trace_id, enqueued, deadline, request=request
-        )
+            self._dispatch_grouped(verifies)
 
     def _spawn_group_task(self, coroutine) -> None:
         task = asyncio.ensure_future(coroutine)
@@ -693,7 +655,6 @@ class VerificationGateway:
             self.kgc.rekey()
             self.counters["rekeys"] += 1
             self._flush_sessions_after_rekey()
-            # broadcast_params also clears every worker's session shard
             await self._pool.broadcast_params(self._params())
             reply = protocol.encode_reply(
                 Status.OK, protocol.encode_json_payload(self._params())
@@ -735,15 +696,14 @@ class VerificationGateway:
         accept, session = self.authority.respond(hello)
         self.sessions.put(session, time.monotonic())
         self.counters["sessions_established"] += 1
-        if self._pool is not None:
-            self._pool.install_session(session)
         return protocol.encode_reply(
             Status.OK, protocol.encode_session_accept(curve, accept)
         )
 
     def _answer_fast(self, request: protocol.FastVerifyRequest) -> bytes:
-        """One in-process VERIFY_FAST verdict: session lookup, replay
-        check, HMAC - no curve arithmetic at all."""
+        """One VERIFY_FAST verdict from the session table: session lookup
+        (an expired or evicted entry is gone), replay check, HMAC - no
+        curve arithmetic at all."""
         entry = self.sessions.get(request.session_id, time.monotonic())
         if entry is None or entry.identity != request.identity:
             self.counters["fast_verify_unknown_session"] += 1
@@ -767,71 +727,6 @@ class VerificationGateway:
         self.counters["fast_verify_invalid"] += 1
         return protocol.verify_reply(False)
 
-    async def _dispatch_fast(
-        self, members: List[Tuple[str, "_PendingVerify"]]
-    ) -> None:
-        """One shard's fast-verify window through the worker pool.
-
-        The owning worker holds the shard's session state (installed at
-        handshake time), so MAC checking and replay tracking happen
-        there; a worker restart loses its sessions and the resulting
-        ``unknown session`` errors drive clients to re-handshake.
-        """
-        pendings = [pending for _identity, pending in members]
-        try:
-            try:
-                results, _crypto_s, _fallback = await self._pool.submit_fast(
-                    members[0][0], [p.payload for p in pendings]
-                )
-            except (WorkerLostError, ReproError) as exc:
-                if isinstance(exc, WorkerLostError):
-                    self.counters["worker_lost_replies"] += len(pendings)
-                    reply = protocol.error_reply(f"worker-lost: {exc}")
-                else:
-                    reply = protocol.error_reply(str(exc))
-                now = time.perf_counter()
-                for pending in pendings:
-                    self._resolve_verify(pending, reply, now)
-                return
-            replies = []
-            for kind, value in results:
-                if kind == "ok":
-                    valid = bool(value)
-                    key = "fast_verify_valid" if valid else "fast_verify_invalid"
-                    self.counters[key] += 1
-                    replies.append(protocol.verify_reply(valid))
-                else:
-                    detail = str(value)
-                    if detail == protocol.UNKNOWN_SESSION:
-                        self.counters["fast_verify_unknown_session"] += 1
-                    replies.append(protocol.error_reply(detail))
-            done = time.perf_counter()
-            for pending, reply in zip(pendings, replies):
-                self._resolve_verify(pending, reply, done)
-                self.registry.histogram("service.request_ms").observe(
-                    (done - pending.enqueued) * 1e3
-                )
-        finally:
-            shutdown_reply: Optional[bytes] = None
-            for pending in pendings:
-                if not pending.future.done():
-                    if shutdown_reply is None:
-                        shutdown_reply = protocol.error_reply(
-                            "server shutting down"
-                        )
-                    pending.future.set_result(shutdown_reply)
-
-    # -- verification -------------------------------------------------------
-    def _group_key(self, pending: _PendingVerify) -> Tuple[str, bytes]:
-        if pending.request is not None:
-            return (
-                pending.request.identity,
-                encode_g1(self.kgc.ctx.curve, pending.request.public_key),
-            )
-        return protocol.split_verify_payload(
-            self.kgc.ctx.curve, pending.payload
-        )
-
     def _resolve_verify(
         self, pending: _PendingVerify, reply: bytes, now: float
     ) -> None:
@@ -851,122 +746,37 @@ class VerificationGateway:
                 )
         pending.future.set_result(reply)
 
-    def _verify_grouped(self, verifies: List[_PendingVerify]) -> None:
-        """Fold same-signer requests into one batch pairing each; a
-        window spanning several signers folds once via the randomized
-        cross-signer check instead of once per signer."""
-        groups: Dict[Tuple[str, bytes], List[_PendingVerify]] = {}
-        for pending in verifies:
-            groups.setdefault(self._group_key(pending), []).append(pending)
-        if len(groups) > 1:
-            self._verify_cross(verifies)
-            return
-        for (identity, _pk_blob), members in groups.items():
-            self.counters["verify_requests"] += len(members)
-            fold_started = time.perf_counter()
-            verdicts, pairing_s = self._verify_group(identity, members)
-            fold_s = time.perf_counter() - fold_started
-            serialize_started = time.perf_counter()
-            replies = []
-            for valid in verdicts:
-                self.counters["verify_valid" if valid else "verify_invalid"] += 1
-                replies.append(protocol.verify_reply(valid))
-            done = time.perf_counter()
-            for pending, reply in zip(members, replies):
-                self._resolve_verify(pending, reply, done)
-            self._account_group(
-                members, fold_started, fold_s, pairing_s,
-                serialize_started, done - serialize_started, done,
-            )
-
-    def _verify_cross(self, verifies: List[_PendingVerify]) -> None:
-        """Fold one in-process mixed-signer window with random weights."""
-        self.counters["verify_requests"] += len(verifies)
-        self.counters["cross_signer_folds"] += 1
-        self.counters["cross_signer_requests"] += len(verifies)
-        self.registry.histogram("service.cross_fold_size").observe(
-            len(verifies)
-        )
-        fold_started = time.perf_counter()
-        items = [
-            (
-                p.request.message,
-                p.request.signature,
-                p.request.identity,
-                p.request.public_key,
-            )
-            for p in verifies
-        ]
-        try:
-            verdicts, fold_stats = self.batcher.verify_cross_signer(items)
-            self.counters["cross_bisections"] += int(
-                fold_stats.get("bisections", 0)
-            )
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
-            # content the fold cannot even weigh: settle exactly per item
-            self.counters["batch_fallbacks"] += 1
-            verdicts = [self._verify_one(p.request) for p in verifies]
-        pairing_s = time.perf_counter() - fold_started
-        fold_s = pairing_s
-        serialize_started = time.perf_counter()
-        replies = []
-        for valid in verdicts:
-            self.counters["verify_valid" if valid else "verify_invalid"] += 1
-            replies.append(protocol.verify_reply(valid))
-        done = time.perf_counter()
-        for pending, reply in zip(verifies, replies):
-            self._resolve_verify(pending, reply, done)
-        self._account_group(
-            verifies, fold_started, fold_s, pairing_s,
-            serialize_started, done - serialize_started, done,
-        )
-
     def _dispatch_grouped(self, verifies: List[_PendingVerify]) -> None:
-        """Route verify windows to the worker pool (async verdicts).
+        """Answer one drained batch's VERIFY requests as verify windows.
 
-        A single-signer window keeps the same-signer fast path; a window
-        spanning several signers ships whole to one worker - affine to
-        the dominant signer's identity, so that signer's caches stay hot
-        - and folds there via the randomized cross-signer check.
+        In-process the batch is one window.  With a pool it is first
+        split along the pool's identity shards: a sub-window only ever
+        contains signers the receiving worker owns, so that worker's
+        anchor / Q_ID / Miller caches cover its partition of the
+        population rather than every worker slowly admitting all
+        identities.  Each window routes affine to its dominant signer.
         """
-        groups: Dict[Tuple[str, bytes], List[_PendingVerify]] = {}
+        shards: Dict[int, Dict[Tuple[str, bytes], List[_PendingVerify]]] = {}
         for pending in verifies:
-            groups.setdefault(self._group_key(pending), []).append(pending)
-        if len(groups) > 1:
-            # Split the mixed window along the pool's identity shards
-            # before submitting: a sub-window only ever contains signers
-            # the receiving worker owns, so that worker's anchor / Q_ID /
-            # Miller caches cover its partition of the population rather
-            # than every worker slowly admitting all identities.
-            shards: Dict[
-                int, Dict[Tuple[str, bytes], List[_PendingVerify]]
-            ] = {}
-            for key, members in groups.items():
-                shard = self._pool.shard_of(key[0])
-                shards.setdefault(shard, {})[key] = members
-            for shard_groups in shards.values():
-                if len(shard_groups) == 1:
-                    ((identity, _pk), members) = next(
-                        iter(shard_groups.items())
-                    )
-                    self._spawn_group_task(
-                        self._dispatch_group(identity, members)
-                    )
-                    continue
-                shard_members = [
-                    p for ms in shard_groups.values() for p in ms
-                ]
-                dominant = max(
-                    shard_groups.items(), key=lambda kv: len(kv[1])
+            shard = (
+                self._pool.shard_of(pending.signer[0])
+                if self._pool is not None
+                else 0
+            )
+            shards.setdefault(shard, {}).setdefault(
+                pending.signer, []
+            ).append(pending)
+        for groups in shards.values():
+            (identity, _pk), _members = max(
+                groups.items(), key=lambda kv: len(kv[1])
+            )
+            self._spawn_group_task(
+                self._dispatch_group(
+                    identity,
+                    [p for members in groups.values() for p in members],
+                    cross=len(groups) > 1,
                 )
-                self._spawn_group_task(
-                    self._dispatch_group(
-                        dominant[0][0], shard_members, cross=True
-                    )
-                )
-            return
-        for (identity, _pk_blob), members in groups.items():
-            self._spawn_group_task(self._dispatch_group(identity, members))
+            )
 
     async def _dispatch_group(
         self,
@@ -975,7 +785,8 @@ class VerificationGateway:
         *,
         cross: bool = False,
     ) -> None:
-        """One verify window's round trip through the worker pool."""
+        """One verify window: :func:`verify_window` inline, or a round
+        trip through the worker pool that runs it."""
         self.counters["verify_requests"] += len(members)
         if cross:
             self.counters["cross_signer_folds"] += 1
@@ -986,22 +797,18 @@ class VerificationGateway:
         elif len(members) > 1:
             self.counters["batches"] += 1
             self.counters["batched_requests"] += len(members)
+        if self._pool is None:
+            submit = self._verify_inline
+        else:
+            submit = self._pool.submit_cross if cross else self._pool.submit
         fold_started = time.perf_counter()
         try:
             try:
-                fold_stats: Optional[dict] = None
-                if cross:
-                    results, pairing_s, fallback, fold_stats = (
-                        await self._pool.submit_cross(
-                            identity, [p.payload for p in members]
-                        )
-                    )
-                else:
-                    results, pairing_s, fallback = await self._pool.submit(
-                        identity, [p.payload for p in members]
-                    )
+                results, pairing_s, fallback, fold_stats = await submit(
+                    identity, [p.payload for p in members]
+                )
             except WorkerLostError as exc:
-                # The worker died or hung with this group in flight: the
+                # The worker died or hung with this window in flight: the
                 # client gets a definite error now, never a hung future.
                 self.counters["worker_lost_replies"] += len(members)
                 reply = protocol.error_reply(f"worker-lost: {exc}")
@@ -1017,10 +824,9 @@ class VerificationGateway:
                 return
             if fallback:
                 self.counters["batch_fallbacks"] += 1
-            if fold_stats:
-                self.counters["cross_bisections"] += int(
-                    fold_stats.get("bisections", 0)
-                )
+            self.counters["cross_bisections"] += int(
+                fold_stats.get("bisections", 0)
+            )
             fold_s = time.perf_counter() - fold_started
             serialize_started = time.perf_counter()
             replies = []
@@ -1061,7 +867,7 @@ class VerificationGateway:
         done: float,
     ) -> None:
         """Stage histograms, trace spans and the process-registry counter
-        for one answered same-signer group."""
+        for one answered verify window."""
         registry = self.registry
         tracer = self.tracer
         registry.histogram("service.verify_ms").observe(pairing_s * 1e3)
@@ -1076,7 +882,7 @@ class VerificationGateway:
             tid = pending.trace_id
             # One stage tree per traced verify, all under its trace
             # id; the fold/pairing durations are shared by the whole
-            # same-signer group (that sharing IS the batching win).
+            # window (that sharing IS the batching win).
             tracer.record(
                 "server.request",
                 trace_id=tid,
@@ -1114,37 +920,18 @@ class VerificationGateway:
         if process_registry.active:
             process_registry.counter("service.verifies").inc(len(members))
 
-    def _verify_group(
-        self, identity: str, members: List[_PendingVerify]
-    ) -> Tuple[List[bool], float]:
-        """Verdicts for one (identity, public key) group, in order, plus
-        the crypto (pairing) seconds the group cost."""
-        public_key = members[0].request.public_key
-        started = time.perf_counter()
-        if len(members) == 1:
-            verdicts = [self._verify_one(members[0].request)]
-            return verdicts, time.perf_counter() - started
-        self.counters["batches"] += 1
-        self.counters["batched_requests"] += len(members)
-        items = [(p.request.message, p.request.signature) for p in members]
+    async def _verify_inline(
+        self, _affinity_key: str, payloads: List[bytes]
+    ) -> WindowResult:
+        """:meth:`VerifyWorkerPool.submit` without a pool: the window
+        function on the event loop.  A failure answers the window with
+        ERR, as a failed worker job does."""
         try:
-            if self.batcher.verify_same_signer(items, identity, public_key):
-                return [True] * len(members), time.perf_counter() - started
-        except (ReproError, ValueError, ZeroDivisionError, ArithmeticError):
-            pass  # hostile batch content: settle per item below
-        # At least one member is bad (or the aggregate check could not
-        # run): fall back to exact per-item verification.
-        self.counters["batch_fallbacks"] += 1
-        verdicts = [self._verify_one(p.request) for p in members]
-        return verdicts, time.perf_counter() - started
-
-    def _verify_one(self, request: protocol.VerifyRequest) -> bool:
-        return self.kgc.scheme.verify(
-            request.message,
-            request.signature,
-            request.identity,
-            request.public_key,
-        )
+            return verify_window(self.batcher, payloads)
+        except Exception as exc:  # total: one bad window != a dead loop
+            raise ServiceError(
+                f"verify window failed: {type(exc).__name__}: {exc}"
+            ) from exc
 
     # -- introspection ------------------------------------------------------
     def _params(self) -> dict:

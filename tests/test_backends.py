@@ -1,4 +1,4 @@
-"""Pluggable field-backend tests: registry, precedence, shims, identity.
+"""Pluggable field-backend tests: registry, precedence, identity.
 
 The contract under test is the PR's headline guarantee: a backend may
 only change *how fast* field arithmetic runs, never *what it computes*
@@ -13,11 +13,10 @@ availability reason instead of silently passing.
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 
-from repro import compat, obs
+from repro import obs
 from repro.core.mccls import McCLS
 from repro.core.params import KeyGenerationCenter
 from repro.pairing import backends
@@ -123,27 +122,6 @@ class TestPrecedence:
 
 
 class TestDeprecationShims:
-    def test_positional_fieldspec_warns_once(self):
-        compat.reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="positional FieldSpec"):
-            spec = FieldSpec(19, 1)
-        assert spec.xi_a == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            FieldSpec(19, 1)  # second use is silent
-
-    def test_compat_fieldspec_shim(self):
-        compat.reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="migration shim"):
-            spec = compat.FieldSpec(19, 1)
-        assert spec == FieldSpec(19, xi_a=1)
-
-    def test_compat_fp_shim(self):
-        compat.reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="migration shim"):
-            element = compat.Fp(19, 7)
-        assert int(element.value) == 7
-
     def test_positional_fieldspec_rejects_extra_args(self):
         with pytest.raises(TypeError):
             FieldSpec(19, 1, 2)

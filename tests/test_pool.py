@@ -22,8 +22,8 @@ from repro.pairing.groups import PairingContext
 from repro.service import protocol
 from repro.service.pool import (
     VerifyWorkerPool,
-    _verify_items,
     merge_cache_stats,
+    verify_window,
 )
 from repro.service.supervisor import RestartBackoff, WorkerSupervisor
 
@@ -79,7 +79,7 @@ class TestMergeCacheStats:
 
 
 class TestVerifyItems:
-    """The worker's crypto kernel, driven in-process (no fork)."""
+    """The verify window function, driven in-process (no fork)."""
 
     def _payload(self, message: bytes, forged: bool = False) -> bytes:
         signature = SCHEME.sign(b"forged" if forged else message, KEYS)
@@ -90,12 +90,13 @@ class TestVerifyItems:
     def test_clean_group_batches_without_fallback(self):
         batcher = McCLSBatchVerifier(SCHEME)
         payloads = [self._payload(b"m%d" % i) for i in range(3)]
-        results, pairing_s, fallback = _verify_items(
-            CURVE, SCHEME, batcher, payloads
+        results, crypto_s, fallback, fold_stats = verify_window(
+            batcher, payloads
         )
         assert results == [("ok", True)] * 3
         assert not fallback
-        assert pairing_s >= 0
+        assert crypto_s >= 0
+        assert fold_stats["bisections"] == 0
 
     def test_tampered_member_gets_exact_verdict_via_bisection(self):
         batcher = McCLSBatchVerifier(SCHEME)
@@ -104,18 +105,19 @@ class TestVerifyItems:
             self._payload(b"b", forged=True),
             self._payload(b"c"),
         ]
-        results, _pairing_s, fallback = _verify_items(
-            CURVE, SCHEME, batcher, payloads
+        results, _crypto_s, fallback, fold_stats = verify_window(
+            batcher, payloads
         )
         # The anchored fold isolates the forged member by bisection —
         # exact per-item verdicts without a whole-group pairing fallback.
         assert not fallback
+        assert fold_stats["bisections"] >= 1
         assert results == [("ok", True), ("ok", False), ("ok", True)]
 
     def test_malformed_payload_is_err_item_not_crash(self):
         batcher = McCLSBatchVerifier(SCHEME)
-        results, _pairing_s, _fallback = _verify_items(
-            CURVE, SCHEME, batcher, [b"\xff\x00", self._payload(b"ok")]
+        results, _crypto_s, _fallback, _stats = verify_window(
+            batcher, [b"\xff\x00", self._payload(b"ok")]
         )
         assert results[0][0] == "err"
         assert results[1] == ("ok", True)
@@ -126,7 +128,7 @@ class TestPoolProcesses:
         async def main():
             pool = await _pool(size=2).start()
             try:
-                results, _pairing_s, fallback = await pool.submit(
+                results, _crypto_s, fallback, _stats = await pool.submit(
                     "pool-id", [GOOD] * 3
                 )
                 assert results == [("ok", True)] * 3
@@ -136,10 +138,10 @@ class TestPoolProcesses:
                     CURVE, "pool-id", KEYS.public_key, b"other",
                     SCHEME.sign(MSG, KEYS),
                 )
-                results, _s, _f = await pool.submit("pool-id", [forged])
+                results, _s, _f, _st = await pool.submit("pool-id", [forged])
                 assert results == [("ok", False)]
 
-                results, _s, _f = await pool.submit("pool-id", [b"\xff"])
+                results, _s, _f, _st = await pool.submit("pool-id", [b"\xff"])
                 assert results[0][0] == "err"
 
                 # Rekey: workers flip to the new params in submit order.
@@ -149,14 +151,14 @@ class TestPoolProcesses:
                         "mccls", CURVE, fresh.p_pub_g1, fresh.p_pub_g2
                     )
                 )
-                results, _s, _f = await pool.submit("pool-id", [GOOD])
+                results, _s, _f, _st = await pool.submit("pool-id", [GOOD])
                 assert results == [("ok", False)]  # old master is dead
                 keys2 = fresh.generate_user_keys("pool-id")
                 good2 = protocol.encode_verify_payload(
                     CURVE, "pool-id", keys2.public_key, MSG,
                     fresh.sign(MSG, keys2),
                 )
-                results, _s, _f = await pool.submit("pool-id", [good2])
+                results, _s, _f, _st = await pool.submit("pool-id", [good2])
                 assert results == [("ok", True)]
 
                 assert pool.counters["jobs_done"] == 5
@@ -198,7 +200,7 @@ class TestPoolProcesses:
                 assert "lost" in events and "restart" in events
 
                 # The respawned worker serves the same key material.
-                results, _s, _f = await pool.submit("pool-id", [GOOD])
+                results, _s, _f, _st = await pool.submit("pool-id", [GOOD])
                 assert results == [("ok", True)]
             finally:
                 await pool.stop()

@@ -258,6 +258,11 @@ class TestGatewayBasics:
 
 
 class TestMicroBatching:
+    """Both serving modes answer VERIFY through the same window function;
+    :class:`TestMicroBatchingPool` reruns every test with a worker pool."""
+
+    workers = 0
+
     def test_same_signer_burst_is_batched(self):
         async def body(gateway):
             client = await connected_client(gateway)
@@ -283,7 +288,7 @@ class TestMicroBatching:
             finally:
                 await client.close()
 
-        gateway_test(body)
+        gateway_test(body, workers=self.workers)
 
     def test_bad_item_in_batch_gets_exact_verdict(self):
         async def body(gateway):
@@ -310,11 +315,12 @@ class TestMicroBatching:
                 assert verdicts == [
                     True, True, True, False, True, True, True, True,
                 ]
-                assert gateway.counters["batch_fallbacks"] >= 1
+                # the fold located the tampered member by bisection
+                assert gateway.counters["cross_bisections"] >= 1
             finally:
                 await client.close()
 
-        gateway_test(body)
+        gateway_test(body, workers=self.workers)
 
     def test_replies_arrive_in_request_order(self):
         async def body(gateway):
@@ -340,7 +346,11 @@ class TestMicroBatching:
             finally:
                 await client.close()
 
-        gateway_test(body)
+        gateway_test(body, workers=self.workers)
+
+
+class TestMicroBatchingPool(TestMicroBatching):
+    workers = 2
 
 
 class TestBackpressure:

@@ -107,14 +107,6 @@ class TestFastPathCodecs:
         assert request.message == MSG
         assert request.mac == b"m" * 32
 
-    def test_split_matches_decode(self):
-        payload = protocol.encode_verify_fast_payload(
-            "node-1", b"s" * 16, 7, MSG, b"m" * 32
-        )
-        assert protocol.split_verify_fast_payload(payload) == "node-1"
-        with pytest.raises(SerializationError):
-            protocol.split_verify_fast_payload(payload[:10])
-
     def test_bad_mac_width_rejected(self):
         with pytest.raises(SerializationError):
             protocol.encode_verify_fast_payload(
@@ -311,6 +303,56 @@ class TestRekeyInvalidation:
                 await client.close()
 
         gateway_test(body)
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+class TestSessionLifetime:
+    """A session dies with its table entry in both serving modes: the
+    gateway's ``SessionTable`` TTL and LRU bound are the only authority
+    over which session ids VERIFY_FAST honours."""
+
+    def test_expired_session_is_unknown(self, workers):
+        async def body(gateway):
+            client, _ = await established_client(gateway)
+            try:
+                assert await client.verify_fast(MSG) is True
+                await asyncio.sleep(0.6)
+                with pytest.raises(ServiceError) as err:
+                    await client.verify_fast(MSG, _rehandshake=False)
+                assert str(err.value) == protocol.UNKNOWN_SESSION
+                stats = await client.stats()
+                assert stats["sessions"]["expirations"] == 1
+                assert stats["sessions"]["active"] == 0
+                assert stats["counters"]["fast_verify_unknown_session"] == 1
+            finally:
+                await client.close()
+
+        gateway_test(body, workers=workers, session_ttl_s=0.5)
+
+    def test_evicted_session_is_unknown(self, workers):
+        async def body(gateway):
+            first, _ = await established_client(gateway, "node-a")
+            others = [
+                (await established_client(gateway, name))[0]
+                for name in ("node-b", "node-c")
+            ]
+            try:
+                # capacity 2: node-c's handshake evicted node-a's session
+                with pytest.raises(ServiceError) as err:
+                    await first.verify_fast(MSG, _rehandshake=False)
+                assert str(err.value) == protocol.UNKNOWN_SESSION
+                for client in others:
+                    assert await client.verify_fast(MSG) is True
+                stats = await first.stats()
+                assert stats["sessions"]["established"] == 3
+                assert stats["sessions"]["evictions"] == 1
+                assert stats["sessions"]["active"] == 2
+                assert stats["counters"]["fast_verify_unknown_session"] == 1
+            finally:
+                for client in [first, *others]:
+                    await client.close()
+
+        gateway_test(body, workers=workers, session_capacity=2)
 
 
 class TestPoolFastPath:
