@@ -212,14 +212,41 @@ class McCLSBatchVerifier:
     #
     #     h_i^{-1} v_i * P - R_i == W.
     #
-    # A mixed-signer window then folds into ONE fixed-base multiplication
-    # and ONE multi-scalar multiplication over random 80-bit weights d_i:
+    # A mixed-signer window (or a lone item of an anchored signer) then
+    # folds into ONE multiplication of P and ONE multi-scalar
+    # multiplication over random 80-bit weights d_i:
     #
     #     (sum_i d_i h_i^{-1} v_i) * P == sum_i d_i R_i + sum_s (sum d) W_s
     #
     # with zero pairings in the steady state.  Unknown signers are admitted
     # through one shared-final-exponentiation multi-pairing; failed folds
     # bisect (reusing each item's weight) down to exact per-item verifies.
+
+    def _anchor_key(
+        self, identity: str, public_key: CurvePoint, s_point: CurvePoint
+    ) -> tuple:
+        """The signer-anchor cache key (identity, P_ID, S, P_pub)."""
+        return (
+            identity,
+            point_key(public_key),
+            point_key(s_point),
+            point_key(self.scheme.p_pub_g1),
+        )
+
+    def is_anchored(
+        self, identity: str, public_key: CurvePoint, signature: McCLSSignature
+    ) -> bool:
+        """Whether this signer's anchor W = x*P is already cached.
+
+        True means :meth:`verify_cross_signer` settles the signer's items
+        in G1 with zero pairings, a lone item included; False (never
+        admitted, evicted, or S outside the order-n subgroup) means an
+        item would pay a pairing either way.
+        """
+        anchor = self._signer_anchors.get(
+            self._anchor_key(identity, public_key, signature.s)
+        )
+        return anchor is not None and anchor is not _UNANCHORABLE
 
     def verify_cross_signer(
         self, items: Sequence[CrossSignerItem]
@@ -241,7 +268,6 @@ class McCLSBatchVerifier:
         ctx = self.ctx
         curve = ctx.curve
         n = ctx.order
-        p_pub_key = point_key(self.scheme.p_pub_g1)
 
         known: List[_CrossItem] = []
         unknown: List[_CrossItem] = []
@@ -262,7 +288,7 @@ class McCLSBatchVerifier:
                 continue  # verdict stays False, like McCLS.verify
             item = _CrossItem(
                 index=index,
-                key=(identity, point_key(public_key), point_key(sig.s), p_pub_key),
+                key=self._anchor_key(identity, public_key, sig.s),
                 identity=identity,
                 public_key=public_key,
                 sig=sig,
@@ -429,7 +455,7 @@ class McCLSBatchVerifier:
             terms.append((anchors[key], weight))
         stats.folds += 1
         stats.fold_sizes.append(len(group))
-        # (sum d_i h_i^{-1} v_i)*P down the pinned comb table vs one MSM.
+        # (sum d_i h_i^{-1} v_i)*P through GLV vs one MSM.
         if ctx.g1_mul(ctx.g1, total) == ctx.g1_msm(terms):
             for item in group:
                 verdicts[item.index] = True

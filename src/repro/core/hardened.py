@@ -63,7 +63,7 @@ class McCLSPlus(McCLS):
     ):
         super().__init__(ctx, master_secret, precompute_s=precompute_s)
         s = self.master_secret
-        self.t_pub = ctx.fixed_base(ctx.curve.g1 * ((s * s) % ctx.order))
+        self.t_pub = ctx.curve.g1 * ((s * s) % ctx.order)
 
     def verify(
         self,

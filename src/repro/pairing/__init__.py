@@ -12,7 +12,7 @@ paper's authors would have used (MIRACL/charm-style).  Public surface:
 """
 
 from repro.pairing.bn import BNCurve, bn254, default_test_curve, toy_curve
-from repro.pairing.curve import PrecomputedPoint, point_key
+from repro.pairing.curve import point_key
 from repro.pairing.groups import PairingContext
 from repro.pairing.pairing import PairingEngine, multi_pairing, pairing
 
@@ -25,6 +25,5 @@ __all__ = [
     "multi_pairing",
     "PairingEngine",
     "PairingContext",
-    "PrecomputedPoint",
     "point_key",
 ]

@@ -335,107 +335,14 @@ def _wnaf_scalar_mult(point: CurvePoint, scalar: int, width: int = 5) -> CurvePo
     return _jacobian_to_affine(point.curve, result)
 
 
-class PrecomputedPoint:
-    """Fixed-base comb tables for a point multiplied many times.
-
-    The comb splits a ``bits``-wide scalar into ``width`` rows of
-    ``d = ceil(bits / width)`` columns; the table holds every row-subset sum
-    of the basis points 2^(i*d) * P, so one multiplication costs d-1
-    Jacobian doublings plus at most d mixed additions — versus ~bits
-    doublings for the generic ladder.  Built once per (context, point);
-    worth it only for bases reused across many signatures (P, P_pub, Q_ID).
-
-    The handle is transparent: ``mul`` returns ordinary affine
-    :class:`CurvePoint` values identical to ``point * scalar``, and falls
-    back to the generic path for scalars it does not cover (negative, zero,
-    or wider than ``bits``), preserving the unreduced-scalar semantics that
-    order/membership checks rely on.
-    """
-
-    __slots__ = ("point", "width", "bits", "columns", "uses", "_table")
-
-    def __init__(self, point: CurvePoint, width: int = 4, bits: Optional[int] = None):
-        if point.is_infinity():
-            raise CurveError("cannot precompute the point at infinity")
-        if width < 2 or width > 8:
-            raise CurveError(f"comb width {width} out of range [2, 8]")
-        self.point = point
-        self.width = width
-        if bits is None:
-            order = point.curve.order
-            bits = order.bit_length() if order else 257
-        self.bits = bits
-        self.columns = -(-bits // width)  # ceil
-        self.uses = 0
-        self._table = None
-
-    @property
-    def built(self) -> bool:
-        """Whether the comb table has been materialised yet."""
-        return self._table is not None
-
-    def covers(self, scalar) -> bool:
-        """True iff ``scalar`` can take the comb fast path."""
-        return (
-            isinstance(scalar, int)
-            and scalar > 0
-            and scalar.bit_length() <= self.bits
-        )
-
-    def build(self) -> None:
-        """Materialise the basis and subset-sum tables (idempotent)."""
-        if self._table is not None:
-            return
-        basis = [self.point]
-        for _ in range(self.width - 1):
-            basis.append(basis[-1] * (1 << self.columns))
-        table = [None] * (1 << self.width)
-        for index in range(1, 1 << self.width):
-            low_bit = index & -index
-            rest = index ^ low_bit
-            entry = basis[low_bit.bit_length() - 1]
-            if rest:
-                entry = table[rest] + entry
-            table[index] = entry
-        self._table = table
-
-    def mul(self, scalar: int) -> CurvePoint:
-        """``point * scalar`` through the comb (generic fallback if needed)."""
-        if not self.covers(scalar):
-            return self.point * scalar
-        self.build()
-        tally = _rt.tally
-        if tally is not None:
-            tally.point_mul += 1
-        one = None
-        table = self._table
-        d = self.columns
-        width = self.width
-        result = None  # Jacobian infinity
-        for col in range(d - 1, -1, -1):
-            result = _jacobian_double(result)
-            index = 0
-            for row in range(width):
-                if (scalar >> (row * d + col)) & 1:
-                    index |= 1 << row
-            if index:
-                entry = table[index]
-                if entry.infinity:
-                    continue
-                if one is None:
-                    one = _field_one(entry.x)
-                mixed = (entry.x, entry.y, one)
-                result = mixed if result is None else _jacobian_add(result, mixed)
-        return _jacobian_to_affine(self.point.curve, result)
-
-
 def point_key(point: CurvePoint):
     """A representation-independent hashable key for a curve point.
 
     Extracts the raw affine coordinate integers (Fp value, Fp2 coefficient
     pair, or Fp12 coefficient tuple), so two :class:`CurvePoint` objects
     describing the same group element — however they were produced — map to
-    the same key.  Used by the pairing cache and the fixed-base registry.
+    the same key.  Used by the pairing caches and the batch verifier's
+    signer anchors.
     """
     if point.infinity:
         return ("inf",)

@@ -49,14 +49,15 @@ class BLSScheme:
 
     def __init__(self, ctx: PairingContext):
         self.ctx = ctx
-        ctx.fixed_base(ctx.g2)
 
     def generate_keys(self, secret: Optional[int] = None) -> BLSKeyPair:
         """Fresh (or deterministic, given ``secret``) BLS key pair."""
         z = secret % self.ctx.order if secret else self.ctx.random_scalar()
         if z == 0:
             raise SignatureError("BLS secret must be non-zero")
-        return BLSKeyPair(secret=z, public_key=self.ctx.g2_mul(self.ctx.g2, z))
+        # the generator is subgroup material: the GLS split is safe
+        public_key = self.ctx.g2_mul(self.ctx.g2, z, in_subgroup=True)
+        return BLSKeyPair(secret=z, public_key=public_key)
 
     def generate_user_keys(self, identity: Identity) -> BLSKeyPair:
         """Protocol-shaped key generation: a fresh pair tagged with ``identity``."""

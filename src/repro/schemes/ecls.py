@@ -7,7 +7,7 @@ scalar instead of a pairing-group point, so signing and verification
 never touch the Miller loop or the final exponentiation.  This module
 carries that construction onto the repository's existing curve stack —
 the prime-order group G1 of whichever BN curve the deployment runs — so
-ECLS shares generators, comb tables and operation counters with McCLS
+ECLS shares generators, the GLV multiplier and operation counters with McCLS
 while costing zero pairings.
 
 Construction (the standard pairing-free CLS shape):
@@ -111,8 +111,6 @@ class ECLSScheme:
         if self.master_secret == 0:
             raise KeyError_("master secret must be non-zero")
         self.p_pub = ctx.g1_mul(curve.g1, self.master_secret)
-        ctx.fixed_base(curve.g1, pin=True)
-        ctx.fixed_base(self.p_pub, pin=True)
 
     # compatibility alias: service/batch code addresses the G1 master
     # public key as p_pub_g1 on every scheme
@@ -131,7 +129,6 @@ class ECLSScheme:
         flushing its session table on REKEY.
         """
         curve = self.ctx.curve
-        old_p_pub = self.p_pub
         secret = (
             new_secret % curve.n if new_secret else self.ctx.random_scalar()
         )
@@ -139,8 +136,6 @@ class ECLSScheme:
             raise KeyError_("master secret must be non-zero")
         self.master_secret = secret
         self.p_pub = self.ctx.g1_mul(curve.g1, secret)
-        self.ctx.drop_fixed_base(old_p_pub)
-        self.ctx.fixed_base(self.p_pub, pin=True)
         get_registry().counter("kgc.rekeys").inc()
         return self.master_secret
 

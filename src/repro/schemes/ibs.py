@@ -74,14 +74,11 @@ class ChaCheonIBS:
         self.master_secret = (
             master_secret % ctx.order if master_secret else ctx.random_scalar()
         )
-        self.p_pub_g1 = ctx.fixed_base(ctx.g1 * self.master_secret)
-        ctx.fixed_base(ctx.g1)
+        self.p_pub_g1 = ctx.g1 * self.master_secret
 
     def q_of(self, identity: Identity) -> CurvePoint:
         """Q_ID = H1(ID) in G2."""
-        return self.ctx.fixed_base(
-            self.ctx.hash_g2(b"H1/ibs", normalize_identity(identity))
-        )
+        return self.ctx.hash_g2(b"H1/ibs", normalize_identity(identity))
 
     def extract(self, identity: Identity) -> IBSPrivateKey:
         """Issue the identity's private key D_ID = s * Q_ID (escrowed!)."""

@@ -105,7 +105,6 @@ def create_scheme(
             ctx = PairingContext(
                 ctx.curve,
                 ctx.rng,
-                precompute=ctx.precompute_enabled,
                 cache_size=ctx.cache_size,
                 backend=resolved,
                 insecure_deterministic_batch=getattr(

@@ -8,7 +8,7 @@ boundary) plus its own bounded pairing caches:
 
 * **Identity-affinity routing.**  A verify window is routed by its
   (dominant) signer's ``crc32(identity) % size``, so one worker's
-  Miller/GT/comb and anchor caches stay hot for its identity partition
+  Miller/GT and anchor caches stay hot for its identity partition
   instead of every worker thrashing over the whole key population.  When
   the affine worker is dead or restarting, the window falls over to
   another live worker (correctness never depends on affinity).
@@ -74,16 +74,13 @@ def merge_cache_stats(*stats: Dict[str, Dict[str, int]]) -> Dict[str, Dict[str, 
     Monotonic counters (hits/misses/evictions) add; ``peak_size`` takes
     the max (every context respected its own bound, so the max is the
     honest "worst cache pressure seen anywhere"); ``size``/``maxsize``
-    come from the last document naming them.  The ``fixed_bases`` entry's
-    ``pinned``/``evictable`` populations add: each context pins its own
-    copy of the system bases, so the merged document reports the total
-    number of tables held across the deployment.
+    come from the last document naming them.
     """
     merged: Dict[str, Dict[str, int]] = {}
     for document in stats:
         for name, entry in document.items():
             into = merged.setdefault(name, {})
-            for key in ("hits", "misses", "evictions", "pinned", "evictable"):
+            for key in ("hits", "misses", "evictions"):
                 if key in entry or key in into:
                     into[key] = into.get(key, 0) + entry.get(key, 0)
             into["peak_size"] = max(
@@ -125,12 +122,15 @@ def verify_window(
     """Verdicts for one window of raw VERIFY payloads, from any signers.
 
     A payload that does not decode becomes an ``("err", detail)`` item.
-    When more than one item is live the window folds through
+    When more than one item is live, or the lone live item's signer is
+    already anchored, the window folds through
     :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer`:
     once a signer's anchor W = x*P is admitted, its items settle with
     zero pairings, and a tampered item bisects down in pure G1 to an
-    exact verdict.  A lone item, or a window the fold cannot even weigh,
-    settles item by item through the scheme's own ``verify``.
+    exact verdict.  A lone item of an unanchored (or unanchorable)
+    signer pays exactly one ``McCLS.verify`` - never the costlier
+    admission, so its constant pairing still comes from the Miller
+    cache - and so does every item of a window the fold cannot weigh.
 
     Returns (results, crypto_s, fallback, fold_stats): per-item results
     in payload order, the crypto seconds, whether the fold was abandoned
@@ -150,7 +150,11 @@ def verify_window(
     fallback = False
     fold_stats: Dict[str, object] = {}
     verdicts: Optional[List[ItemResult]] = None
-    if len(live) > 1:
+    fold = len(live) > 1
+    if len(live) == 1:
+        lone = live[0][1]
+        fold = batcher.is_anchored(lone.identity, lone.public_key, lone.signature)
+    if fold:
         try:
             flags, fold_stats = batcher.verify_cross_signer(
                 [

@@ -17,14 +17,16 @@ of constrained clients:
 * **One verify pipeline.**  The consumer drains whatever is queued (up
   to ``max_batch``) and answers the VERIFY requests in it as one window
   through :func:`~repro.service.pool.verify_window`, whatever the
-  serving mode: a window with more than one live item folds once through
+  serving mode: a window with more than one live item, or a lone item
+  whose signer is already anchored, folds once through
   :meth:`~repro.core.batch.McCLSBatchVerifier.verify_cross_signer` -
   every item gets an independent random weight, anchored signers settle
   pairing-free in G1, and a failed fold bisects down to exact per-item
-  verdicts - while a lone item pays one ``McCLS.verify``.  VERIFY_FAST
-  is answered on the event loop from the gateway's own
-  :class:`SessionTable` (session lookup, replay check, one HMAC), so the
-  table's TTL and LRU bound decide which sessions live in every mode.
+  verdicts - while a lone item of an unanchored signer pays one
+  ``McCLS.verify``.  VERIFY_FAST is answered on the event loop from the
+  gateway's own :class:`SessionTable` (session lookup, replay check, one
+  HMAC), so the table's TTL and LRU bound decide which sessions live in
+  every mode.
 
 * **Supervised worker pool** (``workers > 0``).  The window function
   runs in :class:`~repro.service.pool.VerifyWorkerPool` worker processes

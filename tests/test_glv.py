@@ -4,7 +4,7 @@ Covers the lattice data itself (eigenvalue identities, decomposition
 bounds and recombination), value-identity of every accelerated path
 against the generic ladder (including negatives, zeros and infinity),
 the context routing guards (unreduced scalars and untrusted G2 points
-must stay on the generic path), and comb-table pinning.
+must stay on the generic path), and kernel/reference identity.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ class TestRoutingGuards:
         """Untrusted G2 points keep generic semantics: no GLV routing."""
         curve = toy_curve(64)
         ctx = PairingContext(curve, random.Random(1))
-        point = curve.g2 * 9  # NOT the pinned generator: no comb shortcut
+        point = curve.g2 * 9  # a G2 point the caller has not vouched for
         k = (1 << 40) + 9
         with obs.collecting() as registry:
             ctx.g2_mul(point, k)
@@ -236,42 +236,3 @@ class TestKernelIdentity:
         for pt, k in zip(pts, ks):
             expected = expected + pt * (k % nat.n)
         assert glv.msm(nat, nat.g1_curve, list(zip(pts, ks))) == expected
-
-
-class TestPinning:
-    def test_generator_and_p_pub_tables_are_pinned(self):
-        from repro.core.mccls import McCLS
-
-        scheme = McCLS(PairingContext(CURVE, random.Random(4)))
-        ctx = scheme.ctx
-        for base in (ctx.g1, ctx.g2, scheme.p_pub_g1, scheme.p_pub_g2):
-            assert point_key(base) in ctx._pinned_bases
-
-    def test_cache_stats_reports_pinned_and_evictable(self):
-        from repro.core.mccls import McCLS
-
-        scheme = McCLS(PairingContext(CURVE, random.Random(4)))
-        stats = scheme.ctx.cache_stats()["fixed_bases"]
-        assert stats["pinned"] >= 4
-        assert stats["evictable"] == stats["size"]
-
-    def test_pinned_tables_survive_identity_churn(self):
-        from repro.core.mccls import McCLS
-
-        scheme = McCLS(PairingContext(CURVE, random.Random(4)))
-        ctx = scheme.ctx
-        maxsize = ctx._fixed_bases.stats()["maxsize"]
-        for i in range(maxsize + 8):
-            keys = scheme.generate_user_keys(f"churn-{i}@test")
-            scheme.verify(b"m", scheme.sign(b"m", keys), keys.identity,
-                          keys.public_key)
-        assert point_key(scheme.p_pub_g1) in ctx._pinned_bases
-        assert point_key(ctx.g1) in ctx._pinned_bases
-
-    def test_drop_fixed_base_unpins(self):
-        ctx = PairingContext(CURVE, random.Random(4))
-        point = CURVE.g1 * 123
-        ctx.fixed_base(point, pin=True)
-        assert point_key(point) in ctx._pinned_bases
-        ctx.drop_fixed_base(point)
-        assert point_key(point) not in ctx._pinned_bases

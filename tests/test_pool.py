@@ -122,6 +122,52 @@ class TestVerifyItems:
         assert results[0][0] == "err"
         assert results[1] == ("ok", True)
 
+    @staticmethod
+    def _lone_signer(identity: str = "lone-id"):
+        """A fresh scheme and batcher (cold caches) plus a payload maker."""
+        scheme = _fresh_scheme(23)
+        keys = scheme.generate_user_keys(identity)
+
+        def payload(message: bytes, forged: bool = False) -> bytes:
+            signature = scheme.sign(b"forged" if forged else message, keys)
+            return protocol.encode_verify_payload(
+                CURVE, identity, keys.public_key, message, signature
+            )
+
+        return scheme, McCLSBatchVerifier(scheme), payload
+
+    def test_lone_item_of_anchored_signer_folds_without_pairing(self):
+        scheme, batcher, payload = self._lone_signer()
+        results, _s, _f, _st = verify_window(
+            batcher, [payload(b"a"), payload(b"b")]
+        )
+        assert results == [("ok", True)] * 2  # admits the signer's anchor
+        pairings = scheme.ctx.ops.pairings
+        results, _s, fallback, fold_stats = verify_window(
+            batcher, [payload(b"c")]
+        )
+        assert results == [("ok", True)]
+        assert not fallback
+        assert fold_stats["folds"] == 1
+        assert scheme.ctx.ops.pairings == pairings
+
+    def test_forged_lone_item_of_anchored_signer_is_false(self):
+        _scheme, batcher, payload = self._lone_signer()
+        verify_window(batcher, [payload(b"a"), payload(b"b")])
+        results, _s, _f, fold_stats = verify_window(
+            batcher, [payload(b"c", forged=True)]
+        )
+        assert results == [("ok", False)]
+        assert fold_stats["exact_checks"] == 1
+
+    def test_lone_item_of_fresh_signer_pays_one_verify(self):
+        scheme, batcher, payload = self._lone_signer("fresh-id")
+        misses = scheme.ctx.cache_stats()["miller"]["misses"]
+        results, _s, _f, fold_stats = verify_window(batcher, [payload(b"a")])
+        assert results == [("ok", True)]
+        assert fold_stats == {}  # no admission for a lone unanchored item
+        assert scheme.ctx.cache_stats()["miller"]["misses"] == misses + 1
+
 
 class TestPoolProcesses:
     def test_verify_affinity_and_rekey_end_to_end(self):

@@ -1,9 +1,9 @@
-"""Fixed-base precomputation tests: wNAF, comb tables, cache keying.
+"""Scalar-multiplication and cache-keying tests: wNAF, point keys.
 
-The fast paths (windowed-NAF for one-shot scalars, comb tables for
-registered fixed bases) must agree bit-for-bit with the plain affine
+The windowed-NAF path must agree bit-for-bit with the plain affine
 double-and-add ladder on every curve - a wrong multiple would make
-signatures verify against the wrong keys, silently.
+signatures verify against the wrong keys, silently - and equal points
+must share one pairing-cache key however they were produced.
 """
 
 import random
@@ -12,15 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
-from repro.errors import CurveError
 from repro.pairing.bn import bn254, toy_curve
-from repro.pairing.curve import (
-    PrecomputedPoint,
-    _wnaf_digits,
-    _wnaf_scalar_mult,
-    point_key,
-)
+from repro.pairing.curve import _wnaf_digits, _wnaf_scalar_mult, point_key
 from repro.pairing.groups import PairingContext
 
 CURVE = toy_curve(32)
@@ -81,61 +74,6 @@ class TestWnafMult:
             assert BN254.g1 * k == affine_mult(BN254.g1, k)
 
 
-class TestPrecomputedPoint:
-    def test_matches_affine_across_widths(self):
-        rng = random.Random(3)
-        for width in (2, 4, 6):
-            handle = PrecomputedPoint(CURVE.g1, width=width)
-            for k in [1, 2, CURVE.n - 1] + [
-                rng.randrange(1, CURVE.n) for _ in range(20)
-            ]:
-                assert handle.mul(k) == affine_mult(CURVE.g1, k)
-
-    def test_g2_comb(self):
-        handle = PrecomputedPoint(CURVE.g2)
-        rng = random.Random(5)
-        for k in (rng.randrange(1, CURVE.n) for _ in range(8)):
-            assert handle.mul(k) == affine_mult(CURVE.g2, k)
-
-    @pytest.mark.slow
-    def test_bn254_comb(self):
-        handle = PrecomputedPoint(BN254.g1)
-        rng = random.Random(9)
-        for k in (rng.randrange(1, BN254.n) for _ in range(3)):
-            assert handle.mul(k) == BN254.g1 * k
-
-    def test_infinity_rejected(self):
-        with pytest.raises(CurveError):
-            PrecomputedPoint(CURVE.g1_curve.infinity())
-
-    def test_width_out_of_range_rejected(self):
-        for width in (0, 1, 9):
-            with pytest.raises(CurveError):
-                PrecomputedPoint(CURVE.g1, width=width)
-
-    def test_covers(self):
-        handle = PrecomputedPoint(CURVE.g1, bits=40)
-        assert handle.covers(1) and handle.covers((1 << 40) - 1)
-        assert not handle.covers(0)
-        assert not handle.covers(-3)
-        assert not handle.covers(1 << 40)
-        assert not handle.covers("7")
-
-    def test_uncovered_scalar_falls_back(self):
-        handle = PrecomputedPoint(CURVE.g1, bits=16)
-        k = (1 << 20) + 7
-        assert handle.mul(k) == affine_mult(CURVE.g1, k)
-
-    def test_build_is_lazy_and_idempotent(self):
-        handle = PrecomputedPoint(CURVE.g1)
-        assert not handle.built
-        handle.build()
-        assert handle.built
-        table = handle._table
-        handle.build()
-        assert handle._table is table
-
-
 class TestPointKey:
     def test_equal_points_from_different_routes_share_a_key(self):
         a = CURVE.g1 * 6
@@ -151,40 +89,6 @@ class TestPointKey:
 
     def test_g2_key_is_hashable(self):
         assert {point_key(CURVE.g2 * 5): 1}
-
-
-class TestContextFastPath:
-    def test_threshold_defers_first_use(self):
-        ctx = PairingContext(CURVE, random.Random(1))
-        base = ctx.fixed_base(CURVE.g1 * 11)
-        handle = ctx.precomputed(base)
-        assert handle is not None and not handle.built
-        ctx.g1_mul(base, 123456789)  # first use stays on the ladder
-        assert not handle.built
-        ctx.g1_mul(base, 987654321)  # second use builds the comb
-        assert handle.built
-
-    def test_fast_path_matches_naive_context(self):
-        fast = PairingContext(CURVE, random.Random(2))
-        naive = PairingContext(CURVE, random.Random(2), precompute=False)
-        base = fast.fixed_base(CURVE.g1)
-        assert naive.precomputed(CURVE.g1) is None
-        for k in (3, 17, CURVE.n - 2, 123456789012345):
-            assert fast.g1_mul(base, k) == naive.g1_mul(CURVE.g1, k)
-
-    def test_precomp_counters(self):
-        with obs.collecting() as registry:
-            ctx = PairingContext(CURVE, random.Random(3))
-            base = ctx.fixed_base(CURVE.g2)
-            for k in (5, 7, 9):
-                ctx.g2_mul(base, k * 65537)
-        assert registry.counter_total("precomp.table_builds") == 1
-        assert registry.counter_total("precomp.fast_mults") == 2
-
-    def test_disabled_context_registers_nothing(self):
-        ctx = PairingContext(CURVE, precompute=False)
-        assert ctx.fixed_base(CURVE.g1) is CURVE.g1
-        assert len(ctx._fixed_bases) == 0
 
 
 class TestPairCacheKeying:
