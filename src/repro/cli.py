@@ -111,8 +111,9 @@ def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
         "--backend",
         metavar="NAME",
         default=None,
-        help="field-arithmetic backend (reference, native, montgomery, "
-        "gmpy2); default: $REPRO_FIELD_BACKEND or 'reference'",
+        help="field backend: 'reference' (pure Python) or 'native' "
+        "(compiled pairing/MSM kernel where a C toolchain builds it); "
+        "default: $REPRO_FIELD_BACKEND or 'reference'",
     )
 
 

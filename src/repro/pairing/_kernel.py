@@ -1,12 +1,15 @@
 """Native-speed BN pairing kernel, compiled on demand with cffi.
 
-The ``native`` field backend routes whole pairing *stages* - the
-projective Miller loop and the final exponentiation - through a small C
-library built at first use (API-mode cffi, a one-off ~1 s compile per
-process).  Per-scalar native calls were measured slower than pure Python
-(FFI overhead dominates a single 254-bit multiply), so the boundary sits
-at the stage level: a pairing becomes two C calls instead of ~41k
-interpreted base-field multiplications.
+The ``native`` field backend routes whole *stages* - the projective
+Miller loop, the final exponentiation and the interleaved-wNAF
+multi-scalar multiplications of :mod:`repro.pairing.glv` - through a
+small C library built at first use (API-mode cffi, a one-off ~1 s
+compile per process); whether it does so is the only thing a backend
+decides (:meth:`repro.pairing.fields.FieldBackend.kernel`).  Per-scalar
+native calls were measured slower than pure Python (FFI overhead
+dominates a single 254-bit multiply), so the boundary sits at the stage
+level: a pairing becomes two C calls instead of ~41k interpreted
+base-field multiplications.
 
 Design contract with the pure-Python tower:
 
@@ -14,10 +17,10 @@ Design contract with the pure-Python tower:
   :func:`repro.pairing.pairing._miller_loop_projective`,
   :func:`~repro.pairing.pairing.final_exponentiation` and the field
   formulas of :mod:`repro.pairing.fields` operation for operation
-  (internally in 4x64-limb Montgomery form, the representation specified
-  by :mod:`repro.pairing._mont`), so raw Miller values and GT outputs are
-  byte-identical to the reference backend - not merely equal as group
-  elements.
+  (internally in 4x64-limb Montgomery form ``aR mod p`` with radix
+  ``R = 2^256``, products reduced by word-wise CIOS REDC), so raw Miller
+  values and GT outputs are byte-identical to the reference backend -
+  not merely equal as group elements.
 * **Count identity.**  Every C helper bumps a counter block using the
   *same rules* as the Python tower methods (e.g. an Fp2 x Fp2 product is
   ``fp2_mul += 1, fp_mul += 3`` whatever the internal algorithm), and the
@@ -49,11 +52,12 @@ from typing import Optional, Tuple
 
 from repro.obs import runtime as _rt
 from repro.obs.registry import get_registry
-from repro.pairing._mont import MontgomeryDomain
 
 #: fixed limb count: every supported prime fits 4 x 64 bits
 _NLIMBS = 4
 _LIMB_BYTES = 32
+#: the Montgomery radix R = 2^256, one word past every supported prime
+_R = 1 << (64 * _NLIMBS)
 
 #: counter-block slots, mirroring repro.obs.runtime.FieldOpTally names
 _TALLY_SLOTS = (
@@ -1228,13 +1232,20 @@ def kernel_availability() -> Tuple[bool, str]:
 
 
 def _limbs(value: int):
-    value = int(value)
     return [(value >> (64 * i)) & 0xFFFFFFFFFFFFFFFF for i in range(_NLIMBS)]
 
 
 def _fp_from_bytes(raw: bytes, index: int) -> int:
     start = index * _LIMB_BYTES
     return int.from_bytes(raw[start:start + _LIMB_BYTES], "little")
+
+
+def _mont_setup(ctx, p: int) -> None:
+    """Fill the three Montgomery constants the C core reads: p,
+    N' = -p^-1 mod 2^64 and R^2 mod p."""
+    ctx.p.c = _limbs(p)
+    ctx.np = -pow(p, -1, 1 << 64) % (1 << 64)
+    ctx.r2.c = _limbs(_R * _R % p)
 
 
 def _selftest(ffi, lib) -> None:
@@ -1248,10 +1259,7 @@ def _selftest(ffi, lib) -> None:
     while not (is_probable_prime(p) and p % 4 == 3):
         p -= 2
     ctx = ffi.new("bnctx *")
-    dom = MontgomeryDomain(p, nwords=_NLIMBS)
-    ctx.p.c = _limbs(p)
-    ctx.np = dom.np_
-    ctx.r2.c = _limbs(dom.r2)
+    _mont_setup(ctx, p)
     out = ffi.new("u64[4]")
     for _ in range(8):
         a = rng.randrange(p)
@@ -1278,22 +1286,19 @@ class PairingKernel:
         self._lib = lib
         self._tables_ready = False
         spec = curve.spec
-        p = int(spec.p)
-        dom = MontgomeryDomain(p, nwords=_NLIMBS)
-        self._dom = dom
+        p = spec.p
+        self._p = p
         ctx = ffi.new("bnctx *")
-        ctx.p.c = _limbs(p)
-        ctx.np = dom.np_
-        ctx.r2.c = _limbs(dom.r2)
-        ctx.c6m.c = _limbs(dom.to_mont(spec.fp12_mod_c6))
-        ctx.c0m.c = _limbs(dom.to_mont(spec.fp12_mod_c0))
+        _mont_setup(ctx, p)
+        ctx.c6m.c = self._mont_limbs(spec.fp12_mod_c6)
+        ctx.c0m.c = self._mont_limbs(spec.fp12_mod_c0)
         ctx.c6_nz = 1 if spec.fp12_mod_c6 % p else 0
         ctx.c0_nz = 1 if spec.fp12_mod_c0 % p else 0
-        ctx.xi_a.c = _limbs(dom.to_mont(spec.xi_a))
-        ctx.two.c = _limbs(dom.to_mont(2))
-        ctx.four.c = _limbs(dom.to_mont(4))
-        ctx.eight.c = _limbs(dom.to_mont(8))
-        ctx.three.c = _limbs(dom.to_mont(3))
+        ctx.xi_a.c = self._mont_limbs(spec.xi_a)
+        ctx.two.c = self._mont_limbs(2)
+        ctx.four.c = self._mont_limbs(4)
+        ctx.eight.c = self._mont_limbs(8)
+        ctx.three.c = self._mont_limbs(3)
         self._fill_fp2(ctx.twg2, curve.frob_gamma2)
         self._fill_fp2(ctx.twg3, curve.frob_gamma3)
         loop = curve.ate_loop_count
@@ -1309,10 +1314,13 @@ class PairingKernel:
             ctx.t_naf[i] = digit
         self._ctx = ctx
 
+    def _mont_limbs(self, value: int):
+        """The limbs of ``value`` in Montgomery form, ``value * R mod p``."""
+        return _limbs(value * _R % self._p)
+
     def _fill_fp2(self, target, value) -> None:
-        dom = self._dom
-        target.c0.c = _limbs(dom.to_mont(int(value.c0)))
-        target.c1.c = _limbs(dom.to_mont(int(value.c1)))
+        target.c0.c = self._mont_limbs(value.c0)
+        target.c1.c = self._mont_limbs(value.c1)
 
     @classmethod
     def for_curve(cls, curve) -> Optional["PairingKernel"]:
@@ -1320,7 +1328,7 @@ class PairingKernel:
         ffi, lib, _ = _library()
         if lib is None:
             return None
-        p = int(curve.spec.p)
+        p = curve.spec.p
         if p.bit_length() > 254 or p % 2 == 0:
             return None
         loop_bits = curve.ate_loop_count.bit_length() - 1
@@ -1413,7 +1421,7 @@ class PairingKernel:
             params = _glv.glv_params(self._curve)
             if params is None:
                 return False, None
-            beta = ffi.new("u64[4]", _limbs(self._dom.to_mont(params.beta)))
+            beta = ffi.new("u64[4]", self._mont_limbs(params.beta))
         xs, ys = [], []
         for pt in points:
             xs.extend(_limbs(pt.x.value))

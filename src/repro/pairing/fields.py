@@ -13,15 +13,14 @@ Elements are immutable value objects.  Every element carries a reference to
 its :class:`FieldSpec`, and mixing elements of different specs raises
 :class:`FieldError` rather than silently producing garbage.
 
-Base-field *strategy* is pluggable: every :class:`FieldSpec` holds a
-:class:`FieldBackend` that supplies the scalar primitives the tower cannot
-express structurally (modular exponentiation, modular inversion, the
-coefficient representation, and - for native backends - a compiled pairing
-kernel).  Backends are registered and resolved by name in
-:mod:`repro.pairing.backends`; two specs with equal ``(p, xi_a)`` compare
-equal regardless of backend, so elements produced under different backends
-interoperate and can be compared bit-for-bit (the cross-backend identity
-tests rely on this).
+Every :class:`FieldSpec` holds a :class:`FieldBackend`, which decides
+one thing: whether the compiled kernel (:mod:`repro.pairing._kernel`)
+runs a curve's Miller loops, final exponentiations and multi-scalar
+multiplications.  The scalar layer is always plain Python ints.  The two
+backends are named and resolved in :mod:`repro.pairing.backends`; two
+specs with equal ``(p, xi_a)`` compare equal regardless of backend, so
+elements produced under different backends interoperate and can be
+compared bit-for-bit (the cross-backend identity tests rely on this).
 """
 
 from __future__ import annotations
@@ -36,62 +35,28 @@ IntLike = Union[int, "Fp"]
 
 
 class FieldBackend:
-    """Strategy supplying base-field scalar primitives to a field tower.
+    """Whether the compiled kernel runs a curve's pairing and MSM stages.
 
-    The base class implements the *reference* semantics (plain Python
-    ints, builtin ``pow``), so a backend only overrides what it
-    accelerates.  Implementations must be value-transparent: for the same
-    inputs every backend returns the same canonical residues, and the obs
-    tally (``fp_mul`` and friends) is incremented by the tower classes /
-    kernel wrappers identically across backends, so operation-count
-    benchmarks stay backend-independent.
-
-    ``modulus`` arguments of :meth:`powmod`/:meth:`invmod` are always the
-    base-field prime ``p`` of a :class:`FieldSpec`, so backends may use
-    prime-only algorithms (Fermat inversion, Montgomery ladders).
+    The base class is the ``reference`` behaviour: always available, no
+    kernel.  Whatever :meth:`kernel` returns, values and the obs tally
+    (``fp_mul`` and friends) stay identical to the pure-Python tower, so
+    operation-count benchmarks are backend-independent.
     """
 
-    #: registry name; concrete backends override this
+    #: backend name; concrete backends override this
     name = "abstract"
 
     def availability(self) -> Tuple[bool, str]:
         """Whether this backend can run here, plus a human-readable reason."""
         return True, "always available (pure Python)"
 
-    def wrap(self, value: int) -> int:
-        """Coefficient-representation entry point.
+    def kernel(self, curve):
+        """The compiled kernel for ``curve``, or ``None``.
 
-        Applied to the prime ``p`` when a :class:`FieldSpec` is built, so
-        a backend with a faster integer type (e.g. ``gmpy2.mpz``) can make
-        every ``x % spec.p`` reduction propagate that type through the
-        tower with zero per-operation dispatch cost.
-        """
-        return value
-
-    def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        """``base ** exponent % modulus`` for non-negative exponents."""
-        return pow(base, exponent, modulus)
-
-    def invmod(self, value: int, modulus: int) -> int:
-        """Modular inverse; ``modulus`` is prime (the base-field p)."""
-        return inverse_mod(value, modulus)
-
-    def pairing_kernel(self, curve):
-        """A compiled pairing kernel for ``curve``, or ``None``.
-
-        Returning ``None`` keeps the pure-Python Miller loop / final
-        exponentiation; a non-None kernel is used by
-        :mod:`repro.pairing.pairing` for whole-stage native execution.
-        """
-        return None
-
-    def point_kernel(self, curve):
-        """A compiled point-arithmetic kernel for ``curve``, or ``None``.
-
-        A non-None kernel (the same object as :meth:`pairing_kernel` for
-        the native backend) lets :mod:`repro.pairing.glv` run its
-        interleaved-wNAF multi-scalar multiplications natively, with
-        bit- and count-identical results to the reference column walk.
+        ``None`` keeps the pure-Python Miller loop, final exponentiation
+        (:mod:`repro.pairing.pairing`) and MSM column walk
+        (:mod:`repro.pairing.glv`); a kernel runs each of them natively
+        with bit- and count-identical results.
         """
         return None
 
@@ -112,10 +77,10 @@ class FieldSpec:
     build Fp12 (w^6 = xi).  For the standard BN254/alt_bn128 tower,
     ``xi_a = 9``.
 
-    ``backend`` selects the base-field arithmetic strategy (a
-    :class:`FieldBackend` instance or a registered name); omitted, it
-    resolves through :func:`repro.pairing.backends.resolve_backend`, which
-    honours the ``REPRO_FIELD_BACKEND`` environment default.
+    ``backend`` selects the field backend (a :class:`FieldBackend`
+    instance or a backend name); omitted, it resolves through
+    :func:`repro.pairing.backends.resolve_backend`, which honours the
+    ``REPRO_FIELD_BACKEND`` environment default.
     """
 
     __slots__ = ("p", "xi_a", "fp12_mod_c0", "fp12_mod_c6", "backend")
@@ -136,7 +101,7 @@ class FieldSpec:
 
             backend = _backends.resolve_backend(backend)
         self.backend = backend
-        self.p = backend.wrap(p)
+        self.p = p
         self.xi_a = xi_a % p
         # w^12 = 2a w^6 - (a^2 + 1): reduction constants for Fp12.
         self.fp12_mod_c6 = (2 * self.xi_a) % p
@@ -239,7 +204,7 @@ class Fp:
             tally.fp_mul += 1
         div = other.value if isinstance(other, Fp) else _coerce_int(other)
         spec = self.spec
-        return Fp(spec, self.value * spec.backend.invmod(div, spec.p))
+        return Fp(spec, self.value * inverse_mod(div, spec.p))
 
     def __rtruediv__(self, other: IntLike) -> "Fp":
         return Fp(self.spec, _coerce_int(other)) / self
@@ -248,7 +213,7 @@ class Fp:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         spec = self.spec
-        return Fp(spec, spec.backend.powmod(self.value, exponent, spec.p))
+        return Fp(spec, pow(self.value, exponent, spec.p))
 
     def square(self) -> "Fp":
         """The square of this element (one base-field multiplication)."""
@@ -263,7 +228,7 @@ class Fp:
         if tally is not None:
             tally.fp_inv += 1
         spec = self.spec
-        return Fp(spec, spec.backend.invmod(self.value, spec.p))
+        return Fp(spec, inverse_mod(self.value, spec.p))
 
     def is_zero(self) -> bool:
         """Whether this is the additive identity."""
@@ -348,7 +313,7 @@ class Fp2:
 
     def __truediv__(self, other: Union["Fp2", int]) -> "Fp2":
         if isinstance(other, int):
-            inv = self.spec.backend.invmod(other, self.spec.p)
+            inv = inverse_mod(other, self.spec.p)
             return Fp2(self.spec, self.c0 * inv, self.c1 * inv)
         return self * other.inverse()
 
@@ -375,7 +340,7 @@ class Fp2:
         norm = (self.c0 * self.c0 + self.c1 * self.c1) % p
         if norm == 0:
             raise FieldError("inversion of zero in Fp2")
-        inv = self.spec.backend.invmod(norm, p)
+        inv = inverse_mod(norm, p)
         return Fp2(self.spec, self.c0 * inv, -self.c1 * inv)
 
     def conjugate(self) -> "Fp2":
@@ -631,7 +596,7 @@ class Fp12:
 
     def __truediv__(self, other: Union["Fp12", int]) -> "Fp12":
         if isinstance(other, int):
-            inv = self.spec.backend.invmod(other, self.spec.p)
+            inv = inverse_mod(other, self.spec.p)
             return Fp12(self.spec, [a * inv for a in self.coeffs])
         return self * other.inverse()
 
@@ -679,7 +644,7 @@ class Fp12:
                     nm[i + j] = (nm[i + j] - lm[i] * r[j]) % p
                     new[i + j] = (new[i + j] - low[i] * r[j]) % p
             lm, low, hm, high = nm, new, lm, low
-        inv_lead = self.spec.backend.invmod(low[0], p)
+        inv_lead = inverse_mod(low[0], p)
         return Fp12(self.spec, [(c * inv_lead) % p for c in lm[:12]])
 
     def conjugate(self) -> "Fp12":

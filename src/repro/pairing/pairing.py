@@ -176,8 +176,8 @@ def miller_loop(curve: BNCurve, p_point: CurvePoint, q_point: CurvePoint) -> Fp1
     raw value differs from the affine reference by an Fp2 subfield factor
     (the projective line scalings), which the final exponentiation erases.
 
-    When the active field backend provides a compiled pairing kernel
-    (``spec.backend.pairing_kernel(curve)``), the projective loop runs
+    When the active field backend provides a compiled kernel
+    (``spec.backend.kernel(curve)``), the projective loop runs
     natively instead — bit-identical values and obs counts, including the
     degenerate-step fallback to the affine loop.
     """
@@ -187,7 +187,7 @@ def miller_loop(curve: BNCurve, p_point: CurvePoint, q_point: CurvePoint) -> Fp1
     tally = _rt.tally
     if tally is not None:
         tally.miller_loops += 1
-    kernel = spec.backend.pairing_kernel(curve)
+    kernel = spec.backend.kernel(curve)
     if kernel is not None:
         f = kernel.miller_loop(p_point, q_point)
         if f is not None:
@@ -300,7 +300,7 @@ def final_exponentiation(curve: BNCurve, f: Fp12) -> Fp12:
     tally = _rt.tally
     if tally is not None:
         tally.final_exps += 1
-    kernel = curve.spec.backend.pairing_kernel(curve)
+    kernel = curve.spec.backend.kernel(curve)
     if kernel is not None:
         return kernel.final_exp(f)
     # Easy part 1: f^(p^6 - 1) = conj(f) * f^(-1).

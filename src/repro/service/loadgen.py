@@ -59,7 +59,11 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.pairing.bn import toy_curve
 from repro.service import protocol
 from repro.service.chaosproxy import ChaosPlan, ChaosProxy
-from repro.service.client import RetryPolicy, ServiceClient
+from repro.service.client import (
+    IDEMPOTENT_OPCODES,
+    RetryPolicy,
+    ServiceClient,
+)
 from repro.service.protocol import Opcode, Status
 from repro.service.server import VerificationGateway
 
@@ -143,6 +147,7 @@ class _Job:
     expect_valid: bool
     trace_id: Optional[int] = None
     attempts: int = 0  # BUSY retries + replays consumed so far
+    opcode: Opcode = Opcode.VERIFY
 
 
 @dataclass
@@ -185,9 +190,13 @@ async def _drive_connection(
     BUSY sheds re-enter the stream after a jittered exponential backoff
     (a deferred heap, so the connection keeps pumping other work instead
     of hot-looping on a shed request).  A read timeout or connection
-    loss re-dials and replays every unanswered request - verify is
-    idempotent - until a job exhausts :data:`MAX_JOB_ATTEMPTS` and is
-    recorded as a hard error.
+    loss re-dials and replays every unanswered request until a job
+    exhausts :data:`MAX_JOB_ATTEMPTS` and is recorded as a hard error.
+    Only a job whose opcode is in
+    :data:`~repro.service.client.IDEMPOTENT_OPCODES` is ever re-sent: a
+    VERIFY_FAST sequence number is consumed server-side, so its replay
+    would be judged a replay, and such a job is recorded as an error
+    instead.
     """
     retry = retry if retry is not None else RetryPolicy()
     rng = random.Random(rng_seed)
@@ -197,6 +206,9 @@ async def _drive_connection(
     def defer(job: _Job, reason: str) -> None:
         nonlocal tiebreak
         job.attempts += 1
+        if job.opcode not in IDEMPOTENT_OPCODES:
+            stats.errors.append(f"{job.opcode.name} not re-sent: {reason}")
+            return
         if job.attempts >= MAX_JOB_ATTEMPTS:
             stats.errors.append(
                 f"gave up after {job.attempts} attempts: {reason}"
@@ -302,7 +314,7 @@ async def _drive_connection(
                 ) from exc
         except _ConnectionDropped as drop:
             # The reply stream is gone; every unanswered request in the
-            # window is replayed on a fresh connection (idempotent).
+            # window is replayed on a fresh connection (if idempotent).
             stats.reconnects += 1
             while outstanding:
                 _started, job = outstanding.popleft()
@@ -313,59 +325,6 @@ async def _drive_connection(
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-
-async def _drive_fast_connection(
-    host: str,
-    port: int,
-    frames: List[bytes],
-    window: int,
-    stats: _WorkerStats,
-) -> None:
-    """Pipeline one session's pre-encoded VERIFY_FAST frames.
-
-    Fast-path requests are deliberately NOT replayed on failure: their
-    sequence numbers are consumed server-side, so a replay would be
-    rejected as such and lie about validity.  A dropped connection fails
-    the unanswered tail into ``stats.errors`` instead.
-    """
-    try:
-        reader, writer = await asyncio.open_connection(host, port)
-    except OSError as exc:
-        stats.errors.extend(f"connect failed: {exc}" for _ in frames)
-        return
-    sent = 0
-    answered = 0
-    outstanding: deque = deque()
-    try:
-        while answered < len(frames):
-            while sent < len(frames) and sent - answered < window:
-                outstanding.append(time.perf_counter())
-                writer.write(frames[sent])
-                sent += 1
-            await writer.drain()
-            header = await reader.readexactly(4)
-            body = await reader.readexactly(protocol.frame_length(header))
-            answered += 1
-            stats.latencies.append(time.perf_counter() - outstanding.popleft())
-            status, payload = protocol.decode_reply(body)
-            if status == Status.OK:
-                if protocol.decode_verify_verdict(payload):
-                    stats.valid += 1
-                else:
-                    stats.invalid += 1
-            else:
-                stats.errors.append(payload.decode("utf-8", "replace"))
-    except (asyncio.IncompleteReadError, ConnectionError, OSError) as exc:
-        stats.errors.extend(
-            f"connection lost: {exc}" for _ in range(len(frames) - answered)
-        )
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 async def _session_phase(
@@ -402,10 +361,10 @@ async def _session_phase(
     # mirroring the verify phase's pre-signed request stream
     message = b"S" * config.message_bytes
     per_conn = max(1, config.session_requests // n_conns)
-    shares: List[List[bytes]] = []
+    shares: List[deque] = []
     for session_client in clients:
         session = session_client.session
-        frames = []
+        jobs: deque = deque()
         for seq in range(1, per_conn + 1):
             mac = session.mac(
                 *protocol.fast_verify_mac_bytes(
@@ -419,12 +378,17 @@ async def _session_phase(
                 message,
                 mac,
             )
-            frames.append(
-                protocol.encode_frame(
-                    protocol.encode_request(Opcode.VERIFY_FAST, payload)
+            jobs.append(
+                _Job(
+                    frame=protocol.encode_frame(
+                        protocol.encode_request(Opcode.VERIFY_FAST, payload)
+                    ),
+                    expect_valid=True,
+                    opcode=Opcode.VERIFY_FAST,
                 )
             )
-        shares.append(frames)
+        shares.append(jobs)
+    requests = sum(len(jobs) for jobs in shares)
     workers = [_WorkerStats() for _ in shares]
 
     registry = Registry()
@@ -434,8 +398,8 @@ async def _session_phase(
         fast_started = time.perf_counter()
         await asyncio.gather(
             *(
-                _drive_fast_connection(host, port, frames, config.window, stats)
-                for frames, stats in zip(shares, workers)
+                _drive_connection(host, port, jobs, stats, config.window)
+                for jobs, stats in zip(shares, workers)
             )
         )
         fast_seconds = time.perf_counter() - fast_started
@@ -461,7 +425,6 @@ async def _session_phase(
     counters_after = stats_after["counters"]
     latencies = sorted(lat for stats in workers for lat in stats.latencies)
     errors = [err for stats in workers for err in stats.errors]
-    requests = sum(len(frames) for frames in shares)
     valid = sum(stats.valid for stats in workers)
     invalid = sum(stats.invalid for stats in workers)
     return {

@@ -497,7 +497,16 @@ class VerificationGateway:
                 except asyncio.QueueEmpty:
                     break
             try:
-                self._process(batch)
+                await self._process(batch)
+            except BaseException:
+                # Cancelled mid-batch (stop() while a REKEY awaits the
+                # windows ahead of it): answer the rest of the batch so
+                # no connection's writer waits on a stranded future.
+                reply = protocol.error_reply("server shutting down")
+                for _body, future, _enqueued in batch:
+                    if not future.done():
+                        future.set_result(reply)
+                raise
             finally:
                 for _ in batch:
                     self._queue.task_done()
@@ -505,12 +514,14 @@ class VerificationGateway:
             # next batch accumulates.
             await asyncio.sleep(0)
 
-    def _process(self, batch: List[_Work]) -> None:
+    async def _process(self, batch: List[_Work]) -> None:
         """Decode and answer one drained batch.
 
         Non-verify opcodes and VERIFY_FAST are answered here; VERIFY
         requests only have their routing prefix split and are handed to
-        dispatch tasks as verify windows.
+        dispatch tasks as verify windows.  A REKEY splits the batch: the
+        windows of the verifies before it are awaited first, so each
+        verify is judged under the key in force when it was sent.
         """
         drained = time.perf_counter()
         registry = self.registry
@@ -580,13 +591,17 @@ class VerificationGateway:
                         (time.perf_counter() - enqueued) * 1e3
                     )
                     continue
-                if opcode == Opcode.REKEY and self._pool is not None:
+                if opcode == Opcode.REKEY:
                     if payload:
                         raise SerializationError(
                             f"REKEY request carries {len(payload)} unexpected"
                             " payload bytes"
                         )
-                    self._spawn_group_task(self._rekey_with_pool(future))
+                    windows = self._dispatch_grouped(verifies)
+                    verifies = []
+                    if windows:
+                        await asyncio.wait(windows)
+                    future.set_result(await self._rekey())
                     continue
                 future.set_result(self._answer(opcode, payload))
             except SerializationError as exc:
@@ -598,13 +613,13 @@ class VerificationGateway:
                 future.set_result(
                     protocol.error_reply(f"internal error: {exc}")
                 )
-        if verifies:
-            self._dispatch_grouped(verifies)
+        self._dispatch_grouped(verifies)
 
-    def _spawn_group_task(self, coroutine) -> None:
+    def _spawn_group_task(self, coroutine) -> "asyncio.Task":
         task = asyncio.ensure_future(coroutine)
         self._group_tasks.add(task)
         task.add_done_callback(self._group_tasks.discard)
+        return task
 
     def _answer(self, opcode: Opcode, payload: bytes) -> bytes:
         """One non-verify request -> one reply body."""
@@ -632,13 +647,6 @@ class VerificationGateway:
             )
         if opcode == Opcode.SESSION:
             return self._answer_session(payload)
-        if opcode == Opcode.REKEY:
-            self.kgc.rekey()
-            self.counters["rekeys"] += 1
-            self._flush_sessions_after_rekey()
-            return protocol.encode_reply(
-                Status.OK, protocol.encode_json_payload(self._params())
-            )
         if opcode == Opcode.STATS:
             return protocol.encode_reply(
                 Status.OK, protocol.encode_json_payload(self.stats())
@@ -649,22 +657,19 @@ class VerificationGateway:
             )
         raise SerializationError(f"unhandled opcode {opcode}")
 
-    async def _rekey_with_pool(self, future: "asyncio.Future[bytes]") -> None:
-        """Rotate the master secret, then re-arm every worker *before*
-        the reply goes out - a verify pipelined after the rekey reply is
-        guaranteed to be judged under the new master public key."""
-        try:
-            self.kgc.rekey()
-            self.counters["rekeys"] += 1
-            self._flush_sessions_after_rekey()
+    async def _rekey(self) -> bytes:
+        """Rotate the master secret, flush the sessions it issued and
+        re-arm every worker *before* the reply goes out - a verify
+        pipelined after the REKEY is judged under the new master public
+        key."""
+        self.kgc.rekey()
+        self.counters["rekeys"] += 1
+        self._flush_sessions_after_rekey()
+        if self._pool is not None:
             await self._pool.broadcast_params(self._params())
-            reply = protocol.encode_reply(
-                Status.OK, protocol.encode_json_payload(self._params())
-            )
-        except Exception as exc:
-            reply = protocol.error_reply(f"rekey failed: {exc}")
-        if not future.done():
-            future.set_result(reply)
+        return protocol.encode_reply(
+            Status.OK, protocol.encode_json_payload(self._params())
+        )
 
     # -- the pairing-free session fast path ---------------------------------
     def _flush_sessions_after_rekey(self) -> None:
@@ -748,8 +753,10 @@ class VerificationGateway:
                 )
         pending.future.set_result(reply)
 
-    def _dispatch_grouped(self, verifies: List[_PendingVerify]) -> None:
-        """Answer one drained batch's VERIFY requests as verify windows.
+    def _dispatch_grouped(
+        self, verifies: List[_PendingVerify]
+    ) -> List["asyncio.Task"]:
+        """Answer VERIFY requests as verify windows; returns their tasks.
 
         In-process the batch is one window.  With a pool it is first
         split along the pool's identity shards: a sub-window only ever
@@ -768,17 +775,19 @@ class VerificationGateway:
             shards.setdefault(shard, {}).setdefault(
                 pending.signer, []
             ).append(pending)
+        tasks = []
         for groups in shards.values():
             (identity, _pk), _members = max(
                 groups.items(), key=lambda kv: len(kv[1])
             )
-            self._spawn_group_task(
+            tasks.append(self._spawn_group_task(
                 self._dispatch_group(
                     identity,
                     [p for members in groups.values() for p in members],
                     cross=len(groups) > 1,
                 )
-            )
+            ))
+        return tasks
 
     async def _dispatch_group(
         self,

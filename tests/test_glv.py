@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.obs.registry import get_registry
-from repro.pairing import backends, glv
+from repro.pairing import glv
 from repro.pairing.bn import bn254, toy_curve
 from repro.pairing.curve import point_key
 from repro.pairing.groups import PairingContext
@@ -23,12 +23,6 @@ from repro.pairing.pairing import twist_frobenius
 
 CURVE = toy_curve(32)
 PARAMS = glv.glv_params(CURVE)
-
-
-def _native_params():
-    ok, reason = backends.get_backend("native").availability()
-    marks = [] if ok else [pytest.mark.skip(reason=f"native: {reason}")]
-    return [pytest.param("native", marks=marks)]
 
 
 class TestParams:
@@ -208,13 +202,13 @@ class TestRoutingGuards:
         assert glv.try_mul(CURVE, CURVE.g1, CURVE.n) is None
 
 
-@pytest.mark.parametrize("backend_name", _native_params())
+@pytest.mark.parametrize("backend_name", ["native"])
 class TestKernelIdentity:
     def test_kernel_msm_bit_identical_and_count_identical(self, backend_name):
         rng = random.Random(0xC0DE)
         ref = toy_curve(48)
         nat = toy_curve(48, backend=backend_name)
-        assert nat.spec.backend.point_kernel(nat) is not None
+        assert nat.spec.backend.kernel(nat) is not None
         k = rng.randrange(1 << 40, ref.n)
         for ref_pt, nat_pt, fn in (
             (ref.g1 * 7, nat.g1 * 7, glv.glv_mul),

@@ -460,6 +460,50 @@ class TestRekeyOverTheWire:
         gateway_test(body)
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+class TestRekeyPipelineOrder:
+    """A REKEY splits the requests pipelined around it: a verify sent
+    before it is judged under the old master key, one sent after it
+    under the new key, in both serving modes."""
+
+    def test_verifies_before_rekey_keep_the_old_key(self, workers):
+        async def body(gateway):
+            client = await connected_client(gateway)
+            try:
+                await client.params()
+                keys = await client.enroll("node-order")
+                signature = client.sign(MSG, keys)
+                assert await client.verify(
+                    keys.identity, keys.public_key, MSG, signature
+                )
+                verify = protocol.encode_frame(
+                    protocol.encode_request(
+                        Opcode.VERIFY,
+                        protocol.encode_verify_payload(
+                            client.curve, keys.identity, keys.public_key,
+                            MSG, signature,
+                        ),
+                    )
+                )
+                rekey = protocol.encode_frame(
+                    protocol.encode_request(Opcode.REKEY)
+                )
+                client._writer.write(verify * 3 + rekey + verify * 2)
+                await client._writer.drain()
+                replies = [await client._read_reply() for _ in range(6)]
+                assert all(status == Status.OK for status, _ in replies)
+                verdicts = [
+                    protocol.decode_verify_verdict(payload)
+                    for _, payload in replies[:3] + replies[4:]
+                ]
+                assert verdicts == [True, True, True, False, False]
+                assert gateway.counters["rekeys"] == 1
+            finally:
+                await client.close()
+
+        gateway_test(body, workers=workers)
+
+
 class TestClientErrors:
     def test_err_reply_raises_service_error(self):
         async def body(gateway):

@@ -156,6 +156,54 @@ class TestFastStop:
 
         asyncio.run(main())
 
+    def test_stop_while_rekey_waits_on_windows_answers_all(self):
+        """stop() during a REKEY that awaits the verify window ahead of
+        it still returns, and every pipelined request gets a reply."""
+
+        async def main():
+            gateway = await _started_gateway(workers=2)
+            client = await _raw_client(gateway)
+            try:
+                await client.params()
+                keys = await client.enroll("node-stop")
+                signature = client.sign(b"m", keys)
+                verify = protocol.encode_frame(
+                    protocol.encode_request(
+                        Opcode.VERIFY,
+                        protocol.encode_verify_payload(
+                            client.curve, keys.identity, keys.public_key,
+                            b"m", signature,
+                        ),
+                    )
+                )
+                rekey = protocol.encode_frame(
+                    protocol.encode_request(Opcode.REKEY)
+                )
+                for handle in gateway.pool.handles():
+                    handle.conn.send(("sleep", 1.5))  # both workers busy
+                client._writer.write(verify + rekey + verify)
+                await client._writer.drain()
+                await asyncio.sleep(0.2)  # REKEY is waiting on the window
+                stop = asyncio.ensure_future(gateway.stop())
+                replies = []
+                try:
+                    for _ in range(3):
+                        replies.append(
+                            await asyncio.wait_for(client._read_reply(), 5.0)
+                        )
+                except ServiceConnectionLost:
+                    pass
+                await asyncio.wait_for(stop, 15.0)
+                assert len(replies) == 3
+                for status, payload in replies[1:]:
+                    assert status == Status.ERR
+                    assert payload == b"server shutting down"
+            finally:
+                await client.close()
+                await gateway.stop()
+
+        asyncio.run(main())
+
     def test_stop_with_worker_pool_reaps_workers(self):
         async def main():
             gateway = await _started_gateway(workers=1)
